@@ -52,7 +52,7 @@ from .metrics import (
 )
 from .model import CheckpointError, NnmaModel
 from .rng import Rng
-from .tensor import Tensor, add, grad_check
+from .tensor import Tensor, add, grad_check, no_grad
 from .trainer import Hyperparams, TrainingDiverged, fit, reweight
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -287,7 +287,8 @@ def cmd_analyze(args) -> int:
 
     for idx in ids:
         inst = ds.instances[idx]
-        trace = model.forward(inst).trace
+        with no_grad():
+            trace = model.forward(inst).trace
         with open(out_dir / f"heatmap_{idx}.csv", "w", encoding="utf-8") as fh:
             heatmap_csv(trace, inst.arg1, inst.arg2, fh)
         with open(out_dir / f"heatmap_{idx}.ppm", "wb") as fh:

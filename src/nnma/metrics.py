@@ -25,6 +25,7 @@ import numpy as np
 
 from .attention import AttentionTrace
 from .corpus import Dataset
+from .tensor import no_grad
 
 
 @dataclass
@@ -85,9 +86,11 @@ def macro_f1(preds: Sequence[str], golds: Sequence[str],
 
 
 def evaluate(model, ds: Dataset) -> MetricsResult:
-    """Forward every instance (no dropout) and score against gold labels."""
-    preds = [model.label_names[model.forward(inst).predicted_label]
-             for inst in ds.instances]
+    """Forward every instance (no dropout, no graph recorded) and score
+    against gold labels."""
+    with no_grad():
+        preds = [model.label_names[model.forward(inst).predicted_label]
+                 for inst in ds.instances]
     golds = [inst.label for inst in ds.instances]
     return macro_f1(preds, golds, model.label_names)
 
@@ -158,7 +161,8 @@ def attention_kl_report(model, ds: Dataset, flipped: bool = False) -> KlReport:
             for side in (1, 2)}
 
     for inst in ds.instances:
-        trace = model.forward(inst).trace
+        with no_grad():
+            trace = model.forward(inst).trace
         for side in (1, 2):
             dists = [
                 (lv.a1 if side == 1 else lv.a2).data.reshape(-1)

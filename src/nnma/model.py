@@ -23,6 +23,7 @@ any length mismatch is a hard error and no partial model is returned.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,8 @@ from typing import IO
 
 import numpy as np
 
-from .attention import AttentionLevelParams, ArgAttentionParams, AttentionTrace, run_stack
+from .attention import (AttentionLevelParams, ArgAttentionParams, AttentionTrace,
+                        memory_input_width, run_stack)
 from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from .recurrent import BiLstmParams, LstmParams, bi_encode, xavier_uniform
@@ -43,6 +45,18 @@ FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     """Unreadable or inconsistent checkpoint data."""
+
+
+def parameter_shapes(d_e: int, d: int, d_m: int, k: int, n: int,
+                     v: int) -> list[tuple[int, int]]:
+    """Shape of every parameter, in the order of ``parameters()``:
+    embeddings, four LSTM directions, k attention levels, classifier."""
+    lstm = [(d, d_e + d)] * 4 + [(d, 1)] * 4
+    arg_side = [(2 * d, 2 * d), (2 * d, d_m), (1, 2 * d)]
+    shapes = [(d_e, v)] + lstm * 4
+    for level in range(1, k + 1):
+        shapes += [(d_m, memory_input_width(level, d, d_m))] + arg_side * 2
+    return shapes + [(n, 6 * d), (n, 1)]
 
 
 @dataclass
@@ -231,54 +245,69 @@ class NnmaModel:
             raise CheckpointError(f"unreadable header: {exc}") from None
 
         required = {"d", "d_e", "d_m", "k", "labels", "n", "v", "vocab"}
-        missing = required - set(header)
+        missing = required - set(header) if isinstance(header, dict) else required
         if missing:
             raise CheckpointError(f"header missing fields {sorted(missing)}")
-        if header["n"] != len(header["labels"]):
+        dims = {}
+        for name in ("d", "d_e", "d_m", "k", "n", "v"):
+            value = header[name]
+            least = 2 if name == "n" else 1
+            if type(value) is not int or value < least:
+                raise CheckpointError(f"header {name} must be an integer >= {least}, "
+                                      f"got {value!r}")
+            dims[name] = value
+        labels, tokens = header["labels"], header["vocab"]
+        for name, items in (("labels", labels), ("vocab", tokens)):
+            if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
+                raise CheckpointError(f"header {name} must be a list of strings")
+        if dims["n"] != len(labels):
             raise CheckpointError("header n disagrees with label list")
-        if header["v"] != len(header["vocab"]):
+        if len(set(labels)) != len(labels):
+            raise CheckpointError("header labels are not distinct")
+        if dims["v"] != len(tokens):
             raise CheckpointError("header v disagrees with vocabulary list")
+        try:
+            vocab = Vocabulary.from_tokens(tokens)
+        except ValueError as exc:
+            raise CheckpointError(f"header vocab: {exc}") from None
 
-        vocab = Vocabulary.from_tokens(header["vocab"])
-        model = cls._zeros(vocab, header["labels"], header["d_e"],
-                           header["d"], header["d_m"], header["k"])
-        for p in model.parameters():
-            nbytes = p.rows * p.cols * 8
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise CheckpointError("truncated checkpoint: incomplete parameters")
-            p.data[:] = np.frombuffer(raw, dtype="<f8").reshape(p.rows, p.cols)
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after parameter payload")
-        return model
+        shapes = parameter_shapes(dims["d_e"], dims["d"], dims["d_m"], dims["k"],
+                                  dims["n"], dims["v"])
+        expected = 8 * sum(rows * cols for rows, cols in shapes)
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        start = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - start
+        fh.seek(start)
+        if left < expected:
+            raise CheckpointError(f"truncated checkpoint: {left} payload bytes, "
+                                  f"the header implies {expected}")
+        if left > expected:
+            raise CheckpointError(f"trailing bytes after parameter payload: {left} "
+                                  f"bytes, the header implies {expected}")
+
+        tensors = []
+        for rows, cols in shapes:
+            raw = fh.read(rows * cols * 8)
+            data = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
+            tensors.append(Tensor(data, requires_grad=True))
+        return cls._assemble(vocab, labels, dims["k"], tensors)
 
     @classmethod
-    def _zeros(cls, vocab: Vocabulary, label_names: list[str], d_e: int,
-               d: int, d_m: int, k: int) -> "NnmaModel":
-        """Skeleton with zero tensors of the right shapes (load target)."""
-        def lstm():
-            width = d_e + d
-            mats = [Tensor.zeros(d, width, requires_grad=True) for _ in range(4)]
-            vecs = [Tensor.zeros(d, 1, requires_grad=True) for _ in range(4)]
-            return LstmParams(*mats, *vecs)
+    def _assemble(cls, vocab: Vocabulary, label_names: list[str], k: int,
+                  tensors: list[Tensor]) -> "NnmaModel":
+        """Model from its parameters listed in the order of ``parameters()``."""
+        it = iter(tensors)
 
-        def arg_triple():
-            return ArgAttentionParams(
-                Tensor.zeros(2 * d, 2 * d, requires_grad=True),
-                Tensor.zeros(2 * d, d_m, requires_grad=True),
-                Tensor.zeros(1, 2 * d, requires_grad=True),
-            )
+        def take(count):
+            return [next(it) for _ in range(count)]
 
-        embeddings = EmbeddingMatrix(
-            Tensor.zeros(d_e, len(vocab), requires_grad=True), d_e)
-        enc1 = BiLstmParams(lstm(), lstm())
-        enc2 = BiLstmParams(lstm(), lstm())
-        levels = []
-        for level in range(1, k + 1):
-            width = 6 * d if level == 1 else 6 * d + d_m
-            levels.append(AttentionLevelParams(
-                Tensor.zeros(d_m, width, requires_grad=True),
-                arg_triple(), arg_triple()))
-        w_p = Tensor.zeros(len(label_names), 6 * d, requires_grad=True)
-        b_p = Tensor.zeros(len(label_names), 1, requires_grad=True)
+        weights = next(it)
+        embeddings = EmbeddingMatrix(weights, weights.rows)
+        enc1 = BiLstmParams(LstmParams(*take(8)), LstmParams(*take(8)))
+        enc2 = BiLstmParams(LstmParams(*take(8)), LstmParams(*take(8)))
+        levels = [AttentionLevelParams(next(it), ArgAttentionParams(*take(3)),
+                                       ArgAttentionParams(*take(3)))
+                  for _ in range(k)]
+        w_p, b_p = take(2)
         return cls(vocab, label_names, embeddings, enc1, enc2, levels, w_p, b_p)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 4096  # words per block in uniform_matrix, bounding its Python-int list
 
 
 def _rotl(x: int, k: int) -> int:
@@ -72,12 +73,33 @@ class Rng:
 
     def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
         """Row-major matrix of uniform draws (draw order is part of the
-        reproducibility contract)."""
-        out = np.empty((rows, cols), dtype=np.float64)
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self.uniform(lo, hi)
-        return out
+        reproducibility contract).
+
+        Bit-identical to calling ``uniform(lo, hi)`` once per entry: the
+        generator step of ``next_u64`` runs inline on local state words,
+        and the same float operations are applied to the whole array.
+        """
+        out = np.empty(rows * cols)
+        s0, s1, s2, s3 = self._s
+        for start in range(0, out.size, _CHUNK):
+            words = []
+            append = words.append
+            for _ in range(min(_CHUNK, out.size - start)):
+                x = (s1 * 5) & _MASK64
+                append(((((x << 7) | (x >> 57)) * 9) & _MASK64) >> 11)
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            out[start:start + len(words)] = words
+        self._s[:] = [s0, s1, s2, s3]
+        out *= 2.0**-53
+        out *= hi - lo
+        out += lo
+        return out.reshape(rows, cols)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, iterating from the last index down."""

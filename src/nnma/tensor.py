@@ -3,9 +3,11 @@
 Every value is a double-precision matrix; vectors are single-column
 matrices, so the whole model reduces to matrix products, concatenation
 and elementwise maps. Each operation records its inputs and a
-vector-Jacobian product, and ``backward()`` on a 1x1 result walks the
-recorded graph once in reverse topological order, accumulating exact
-partial derivatives into ``.grad`` of every tensor that requires them.
+vector-Jacobian product (except inside ``no_grad()``, for forward
+passes that no backward pass will use), and ``backward()`` on a 1x1
+result walks the recorded graph once in reverse topological order,
+accumulating exact partial derivatives into ``.grad`` of every tensor
+that requires them.
 
 ``grad_check`` compares those partials against central finite
 differences and is the verification oracle for everything built on top.
@@ -13,6 +15,7 @@ differences and is the verification oracle for everything built on top.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,10 +78,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        """Value snapshot outside the graph (no grad, no parents)."""
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -156,9 +155,30 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block, operations record no parents and no vjp: their
+    results are plain values, as if no input required a gradient. For
+    forward passes whose graph no backward pass will use. Nests, and the
+    previous state comes back on exit, also on an exception."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """Result of one operation: ``vjp`` maps the result's adjoint to one
+    adjoint per parent (``None`` for none). Recorded only when some
+    parent requires a gradient and ``no_grad`` is not active."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
@@ -231,17 +251,6 @@ def tanh(x: Tensor) -> Tensor:
     return _make(out, (x,), vjp)
 
 
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh}
-
-
-def map_unary(x: Tensor, fn: str) -> Tensor:
-    """Elementwise nonlinearity by name ('sigmoid' or 'tanh')."""
-    try:
-        return _UNARY[fn](x)
-    except KeyError:
-        raise ValueError(f"unknown unary fn {fn!r}") from None
-
-
 def _require_same_shape(x: Tensor, y: Tensor, op: str) -> None:
     if x.shape != y.shape:
         raise ShapeError(f"{op} shape mismatch: {x.shape} vs {y.shape}")
@@ -272,17 +281,6 @@ def hadamard(x: Tensor, y: Tensor) -> Tensor:
         return g * y.data, g * x.data
 
     return _make(x.data * y.data, (x, y), vjp)
-
-
-_ZIP = {"add": add, "sub": sub, "hadamard": hadamard}
-
-
-def zip_binary(x: Tensor, y: Tensor, fn: str) -> Tensor:
-    """Elementwise binary op by name ('add', 'sub' or 'hadamard')."""
-    try:
-        return _ZIP[fn](x, y)
-    except KeyError:
-        raise ValueError(f"unknown binary fn {fn!r}") from None
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -371,6 +371,21 @@ class TestEval:
                      "--task", "four"]) == 2
         assert "bad.ckpt" in capsys.readouterr().err
 
+    def test_zero_level_header_exits_2(self, workspace, tmp_path, capsys):
+        blob = (workspace / "out" / "model.ckpt").read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len])
+        header["k"] = 0
+        text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "k0.ckpt"
+        bad.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text
+                        + blob[16 + header_len:])
+        assert main(["eval", "--model", str(bad),
+                     "--data", str(workspace / "data" / "test.tsv"),
+                     "--task", "four"]) == 2
+        err = capsys.readouterr().err
+        assert "k0.ckpt" in err and "header k" in err
+
 
 class TestAnalyze:
     def test_default_outputs(self, workspace, tmp_path, capsys):

@@ -20,6 +20,8 @@ from nnma.metrics import (
 )
 from nnma.model import NnmaModel
 from nnma.rng import Rng
+from nnma.tensor import no_grad
+from nnma.trainer import MomentumSgd, train_step
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 
@@ -90,6 +92,31 @@ class TestEvaluate:
         again = macro_f1(preds, golds, model.label_names)
         assert result.macro_f1 == again.macro_f1
         assert result.accuracy == again.accuracy
+
+    def test_no_grad_forward_is_bitwise_equal_and_unrecorded(self):
+        model = tiny_model(seed=6)
+        for inst in tiny_dataset().instances:
+            recorded = model.forward(inst)
+            with no_grad():
+                plain = model.forward(inst)
+            np.testing.assert_array_equal(plain.probabilities.data,
+                                          recorded.probabilities.data)
+            assert plain.predicted_label == recorded.predicted_label
+            for a, b in zip(plain.trace.levels, recorded.trace.levels):
+                np.testing.assert_array_equal(a.a1.data, b.a1.data)
+                np.testing.assert_array_equal(a.a2.data, b.a2.data)
+            assert recorded.probabilities._parents != ()
+            assert plain.probabilities._parents == ()
+            assert plain.trace.levels[-1].a1._parents == ()
+
+    def test_training_after_evaluate_still_fills_every_gradient(self):
+        model = tiny_model(seed=7)
+        ds = tiny_dataset()
+        evaluate(model, ds)
+        opt_net = MomentumSgd(model.network_parameters(), 0.01, 0.9)
+        opt_emb = MomentumSgd(model.embedding_parameters(), 0.002, 0.9)
+        train_step(model, ds.instances[0], 2, 1.0, opt_net, opt_emb, None)
+        assert all(p.grad is not None for p in model.parameters())
 
 
 class TestKlDivergence:

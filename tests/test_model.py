@@ -1,14 +1,16 @@
+import hashlib
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from nnma.corpus import Instance
 from nnma.embeddings import Vocabulary
 from nnma.model import CheckpointError, NnmaModel, Prediction
 from nnma.rng import Rng
-from nnma.tensor import Tensor, grad_check, softmax
+from nnma.corpus import Instance, synth_generate
+from nnma.tensor import Tensor, grad_check, softmax, topo_order
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 
@@ -221,3 +223,79 @@ class TestCheckpoint:
         loaded = NnmaModel.load(path)
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+
+def with_header(model, payload_cut=0, **changes):
+    """A saved checkpoint whose JSON header has ``changes`` applied and
+    whose payload is shortened by ``payload_cut`` bytes."""
+    buf = io.BytesIO()
+    model.save(buf)
+    blob = buf.getvalue()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + header_len])
+    header.update(changes)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = blob[16 + header_len:]
+    return io.BytesIO(blob[:8] + len(text).to_bytes(8, "little") + text
+                      + payload[:len(payload) - payload_cut])
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("changes, match", [
+        ({"k": 0}, "header k"),
+        ({"d": -1}, "header d "),
+        ({"d": "1"}, "header d "),
+        ({"d_m": 2.0}, "header d_m"),
+        ({"v": True}, "header v"),
+        ({"n": 1, "labels": ["Comparison"]}, "header n"),
+        ({"labels": ["Comparison", "Comparison", "Expansion", "Temporal"]},
+         "not distinct"),
+        ({"labels": ["Comparison", 1, "Expansion", "Temporal"]}, "labels"),
+        ({"vocab": ["<unk>", "t0", "t0", "t2", "t3", "t4", "t5"]}, "vocab"),
+        ({"d": 10**9}, "truncated"),
+    ])
+    def test_rejected_before_allocation(self, changes, match):
+        with pytest.raises(CheckpointError, match=match):
+            NnmaModel.load(with_header(tiny_model(), **changes))
+
+    def test_non_object_header_rejected(self):
+        text = b"[]"
+        blob = b"NNMA" + (1).to_bytes(4, "little") + len(text).to_bytes(8, "little") + text
+        with pytest.raises(CheckpointError, match="missing fields"):
+            NnmaModel.load(io.BytesIO(blob))
+
+    def test_short_payload_rejected(self):
+        with pytest.raises(CheckpointError, match="truncated"):
+            NnmaModel.load(with_header(tiny_model(), payload_cut=8))
+
+    def test_unchanged_header_loads(self):
+        model = tiny_model(seed=14)
+        loaded = NnmaModel.load(with_header(model))
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_golden_checkpoint_bytes():
+    # Pins parameter init order and the payload byte layout: the digest
+    # was taken from the code before the sequence LSTM was fused.
+    vocab = Vocabulary([f"w{i}" for i in range(5)])
+    model = NnmaModel.create(vocab, LABELS, d_e=3, d=3, d_m=4, k=2, rng=Rng(7))
+    buf = io.BytesIO()
+    model.save(buf)
+    assert len(buf.getvalue()) == 6993
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+        "91c6492e95610588db308aa10428c99d26a949c32d5095d81b9a3b1a885dc88b")
+
+
+def test_training_tape_size_at_overfit_shape():
+    # Deterministic guard on per-instance autodiff overhead: one node
+    # per encoder direction, not one graph per word.
+    data = synth_generate(42, 20)
+    inst = data.instances[0]
+    model = NnmaModel.create(Vocabulary.from_instances(data.instances),
+                             data.label_inventory(), d_e=50, d=16, d_m=32,
+                             k=2, rng=Rng(42))
+    loss = model.loss(model.forward(inst, Tensor(np.ones((96, 1)))),
+                      model.label_index(inst.label))
+    assert len(inst.arg1) >= 10
+    assert len(topo_order(loss)) < 120

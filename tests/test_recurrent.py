@@ -3,9 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from nnma.recurrent import BiLstmParams, LstmParams, bi_encode, lstm_step, run_direction
+from nnma.recurrent import BiLstmParams, LstmParams, bi_encode, run_direction
 from nnma.rng import Rng
-from nnma.tensor import Tensor, concat, grad_check, sum_all
+from nnma.tensor import (Tensor, concat, grad_check, hadamard, hstack,
+                         select_columns, sigmoid, sum_all, tanh, topo_order)
+
+
+def lstm_step(x, h_prev, c_prev, p):
+    """Reference cell built from tensor primitives; returns (h, c).
+
+    The gate input is the stacked vector [x; h_prev], in that order.
+    """
+    z = concat([x, h_prev])
+    i = sigmoid(p.W_i @ z + p.b_i)
+    f = sigmoid(p.W_f @ z + p.b_f)
+    o = sigmoid(p.W_o @ z + p.b_o)
+    c_hat = tanh(p.W_c @ z + p.b_c)
+    c = i * c_hat + f * c_prev
+    h = o * tanh(c)
+    return h, c
+
+
+def unrolled_direction(seq, p, reverse=False):
+    """Reference direction run: one ``lstm_step`` graph per word."""
+    d = p.hidden_dim
+    h = Tensor.zeros(d, 1)
+    c = Tensor.zeros(d, 1)
+    order = range(seq.cols - 1, -1, -1) if reverse else range(seq.cols)
+    states = {}
+    for t in order:
+        h, c = lstm_step(select_columns(seq, [t]), h, c, p)
+        states[t] = h
+    return hstack([states[t] for t in range(seq.cols)])
 
 
 def zero_params(input_dim, hidden_dim):
@@ -164,6 +193,62 @@ class TestRunDirection:
         a = run_direction(seq, p, reverse=True)
         b = run_direction(seq, p, reverse=True)
         np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestFusedAgainstReference:
+    """The fused run against the unrolled graph of reference cells."""
+
+    @staticmethod
+    def setup_case(length, reverse, seed):
+        input_dim, hidden_dim = 5, 3
+        p = random_params(input_dim, hidden_dim, seed)
+        rng = Rng(seed + 1)
+        for bias in p.tensors()[4:]:
+            bias.data[:] = rng.uniform_matrix(hidden_dim, 1, -0.5, 0.5)
+        seq = random_seq(input_dim, length, seed + 2, requires_grad=True)
+        # Distinct weights per output entry, so every column's adjoint
+        # differs and a misaligned step shows.
+        weights = Tensor(Rng(seed + 3).uniform_matrix(hidden_dim, length, -1.0, 1.0))
+
+        def loss(run):
+            return sum_all(hadamard(run(seq, p, reverse), weights))
+
+        return p, seq, loss
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("length", [1, 2, 30])
+    def test_values_and_all_nine_gradients(self, length, reverse):
+        p, seq, loss = self.setup_case(length, reverse, seed=60 + length)
+        inputs = [seq] + p.tensors()
+        results = []
+        for run in (run_direction, unrolled_direction):
+            for t in inputs:
+                t.zero_grad()
+            out = run(seq, p, reverse)
+            loss(run).backward()
+            results.append((out.data, [t.grad.copy() for t in inputs]))
+        (fused, fused_grads), (ref, ref_grads) = results
+        assert fused.shape == ref.shape == (3, length)
+        assert np.max(np.abs(fused - ref)) <= 1e-12
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradient_check(self, reverse):
+        p, seq, loss = self.setup_case(4, reverse, seed=70)
+        assert grad_check(lambda: loss(run_direction), p.tensors() + [seq]) < 1e-6
+
+    def test_one_node_per_run(self):
+        p = random_params(3, 2, seed=71)
+        seq = random_seq(3, 12, seed=72, requires_grad=True)
+        tape = topo_order(run_direction(seq, p))
+        assert len(tape) == 1 + 1 + len(p.tensors())
+
+    def test_shape_mismatch_rejected(self):
+        p = zero_params(2, 3)
+        with pytest.raises(ValueError):
+            run_direction(Tensor.zeros(5, 4), p)
 
 
 class TestBiEncode:

@@ -133,13 +133,6 @@ def test_sigmoid_tanh_at_zero():
     assert T.tanh(Tensor([[0.0]])).item() == 0.0
 
 
-def test_map_unary_dispatch_and_unknown():
-    x = Tensor([[0.3]])
-    assert T.map_unary(x, "tanh").item() == math.tanh(0.3)
-    with pytest.raises(ValueError):
-        T.map_unary(x, "relu")
-
-
 def test_tanh_gradient_central_difference():
     x = Tensor([[0.3]], requires_grad=True)
     T.tanh(x).backward()
@@ -150,11 +143,11 @@ def test_tanh_gradient_central_difference():
 
 def test_zip_binary_values():
     assert np.array_equal(
-        T.zip_binary(Tensor([2.0, 3.0]), Tensor([4.0, 5.0]), "hadamard").data,
+        T.hadamard(Tensor([2.0, 3.0]), Tensor([4.0, 5.0])).data,
         [[8.0], [15.0]],
     )
     x = Tensor([0.4, -1.2])
-    assert np.array_equal(T.zip_binary(x, x, "sub").data, np.zeros((2, 1)))
+    assert np.array_equal(T.sub(x, x).data, np.zeros((2, 1)))
 
 
 def test_add_gradient_is_ones():
@@ -346,10 +339,37 @@ def test_linear_ops_gradient_is_value_independent():
 
 def test_detached_tensor_gets_no_grad():
     x = Tensor([[1.0]], requires_grad=True)
-    frozen = x.detach()
+    with T.no_grad():
+        frozen = T.scale(x, 1.0)
     out = T.sum_all(T.hadamard(frozen, frozen))
     assert out.requires_grad is False
     assert frozen.grad is None
+
+
+def test_no_grad_records_nothing_and_keeps_values():
+    rng = np.random.default_rng(5)
+    a, b = rand(3, 2, rng), rand(2, 1, rng)
+    recorded = T.tanh(T.matmul(a, b))
+    with T.no_grad():
+        plain = T.tanh(T.matmul(a, b))
+    assert np.array_equal(plain.data, recorded.data)
+    assert plain._parents == () and plain._vjp is None
+    assert plain.requires_grad is False
+    assert recorded._parents != ()
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    x = Tensor([[2.0]], requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.scale(x, 3.0).requires_grad is False
+            raise RuntimeError("inside")
+    out = T.scale(x, 3.0)
+    assert out.requires_grad is True
+    out.backward()
+    assert x.grad[0, 0] == 3.0
 
 
 # -- per-op gradient exactness on random inputs -----------------------------------
