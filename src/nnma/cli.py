@@ -31,6 +31,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .corpus import (
     OTHER_LABEL,
@@ -158,6 +159,19 @@ def load_split(data_dir: Path, name: str) -> Dataset:
 # -- subcommands ---------------------------------------------------------
 
 
+def write_atomic(path: Path, write: Callable[[Path], object]) -> None:
+    """Call ``write`` on a temporary file next to ``path``, then rename
+    it into place: a failed or interrupted write leaves any previous
+    ``path`` whole and no temporary file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_train(args) -> int:
     config = build_run_config(Path(args.config), args.seed, args.levels)
     train_raw = load_split(config.data_dir, "train")
@@ -193,9 +207,9 @@ def cmd_train(args) -> int:
     report = fit(model, train, dev, hp, weights=weights, rng=rng, log=log)
 
     ckpt_path = config.output_dir / "model.ckpt"
-    model.save(ckpt_path)
-    (config.output_dir / "training_log.txt").write_text(
-        "\n".join(log_lines) + "\n")
+    write_atomic(ckpt_path, model.save)
+    write_atomic(config.output_dir / "training_log.txt",
+                 lambda path: path.write_text("\n".join(log_lines) + "\n"))
     summary = {
         "task": config.task.describe(),
         "labels": labels,
@@ -210,8 +224,9 @@ def cmd_train(args) -> int:
         "best_dev_f1": report.best_dev_f1,
         "stopped_early": report.stopped_early,
     }
-    (config.output_dir / "training_report.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_atomic(config.output_dir / "training_report.json",
+                 lambda path: path.write_text(
+                     json.dumps(summary, sort_keys=True, indent=2) + "\n"))
     print(f"best epoch {report.best_epoch} dev_f1 {report.best_dev_f1!r}")
     print(f"wrote {ckpt_path}")
     return 0

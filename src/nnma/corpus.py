@@ -128,11 +128,6 @@ def write_tsv(ds: Dataset, stream: IO[str]) -> None:
         stream.write(f"{inst.label}\t{' '.join(inst.arg1)}\t{' '.join(inst.arg2)}\n")
 
 
-def task_labels(ds: Dataset, task: TaskSpec) -> list[str]:
-    """Classifier label set for a dataset under a task, in fixed order."""
-    return apply_task(ds, task).label_inventory()
-
-
 def apply_task(ds: Dataset, task: TaskSpec, require_target: bool = True) -> Dataset:
     """Remap labels per the task; instance count and text are untouched.
 

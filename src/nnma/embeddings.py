@@ -14,6 +14,7 @@ small scale keeps early softmax outputs near uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -113,7 +114,7 @@ class PretrainedLoad:
     matrix: EmbeddingMatrix
     loaded: int     # vocabulary tokens found in the file
     missing: int    # vocabulary tokens falling back to random init
-    malformed: int  # skipped file lines (wrong field count / bad floats)
+    malformed: int  # skipped file lines (wrong field count / bad or non-finite floats)
 
 
 def load_pretrained(stream: IO[str], dim: int, vocab: Vocabulary, rng: Rng) -> PretrainedLoad:
@@ -122,8 +123,9 @@ def load_pretrained(stream: IO[str], dim: int, vocab: Vocabulary, rng: Rng) -> P
     Every column is first drawn from the random scheme (in index order,
     so the fallback for any given token does not depend on file
     content), then columns for tokens present in the file are
-    overwritten. Lines that do not parse into exactly ``dim`` floats are
-    counted as malformed and skipped.
+    overwritten. Lines that do not parse into exactly ``dim`` finite
+    floats (``nan``, ``inf`` and overflowing literals such as ``1e999``
+    are not) are counted as malformed and skipped.
     """
     emb = EmbeddingMatrix.random(vocab, dim, rng)
     found: set[int] = set()
@@ -141,6 +143,9 @@ def load_pretrained(stream: IO[str], dim: int, vocab: Vocabulary, rng: Rng) -> P
         except ValueError:
             malformed += 1
             continue
+        if not all(math.isfinite(v) for v in values):
+            malformed += 1
+            continue
         token = normalize_token(parts[0])
         if token in vocab:
             idx = vocab.index(token)
@@ -149,14 +154,6 @@ def load_pretrained(stream: IO[str], dim: int, vocab: Vocabulary, rng: Rng) -> P
             found.add(idx)
     loaded = len(found)
     return PretrainedLoad(emb, loaded, len(vocab) - loaded, malformed)
-
-
-def write_vectors(emb: EmbeddingMatrix, vocab: Vocabulary, stream: IO[str]) -> None:
-    """Write the matrix in the pretrained text format. Values use
-    shortest round-trip formatting, so load(write(m)) == m exactly."""
-    for idx, token in enumerate(vocab.tokens):
-        values = " ".join(repr(float(v)) for v in emb.weights.data[:, idx])
-        stream.write(f"{token} {values}\n")
 
 
 def embed_sequence(tokens: Sequence[str], vocab: Vocabulary, emb: EmbeddingMatrix) -> Tensor:

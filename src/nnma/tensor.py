@@ -7,7 +7,10 @@ vector-Jacobian product (except inside ``no_grad()``, for forward
 passes that no backward pass will use), and ``backward()`` on a 1x1
 result walks the recorded graph once in reverse topological order,
 accumulating exact partial derivatives into ``.grad`` of every tensor
-that requires them.
+that requires them. A column lookup's backward yields a compact
+``ColumnGrad`` (the touched columns only), so a parameter read a few
+columns at a time never sees a dense adjoint; its ``.grad`` is still a
+dense array, and ``grad_columns`` names the columns that can be nonzero.
 
 ``grad_check`` compares those partials against central finite
 differences and is the verification oracle for everything built on top.
@@ -35,9 +38,14 @@ class Tensor:
         grad: accumulated partial derivatives, same shape as ``data``;
             ``None`` until a backward pass reaches this tensor. Repeated
             backward calls keep adding; call ``zero_grad`` between steps.
+        grad_columns: sorted columns outside which ``grad`` is zero, set
+            when one backward pass reached this leaf only through column
+            lookups; ``None`` means any column. Setting ``grad`` (also
+            ``+=`` on it) or accumulating a second backward pass resets it
+            to ``None``, so it never restricts a gradient it did not see.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_grad", "_grad_columns", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -49,7 +57,8 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D at most, got ndim={arr.ndim}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._grad_columns: list[int] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
 
@@ -75,6 +84,19 @@ class Tensor:
         if self.data.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+        self._grad_columns = None
+
+    @property
+    def grad_columns(self) -> list[int] | None:
+        return self._grad_columns
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -111,16 +133,23 @@ class Tensor:
         if self.data.shape != (1, 1):
             raise ShapeError(f"backward() starts from a 1x1 scalar, got {self.data.shape}")
         tape = topo_order(self)
-        adjoint: dict[int, np.ndarray] = {id(self): np.ones((1, 1))}
+        adjoint: dict[int, np.ndarray | ColumnGrad] = {id(self): np.ones((1, 1))}
         for node in reversed(tape):
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
+            if type(g) is ColumnGrad:
+                if node._vjp is None and node._grad is None:
+                    node._grad = g.dense()
+                    node._grad_columns = g.columns()
+                    continue
+                g = g.dense()
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = g.copy()
+                if node._grad is None:
+                    node._grad = g.copy()
                 else:
-                    node.grad += g
+                    node._grad += g
+                node._grad_columns = None
             if node._vjp is None:
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
@@ -129,6 +158,43 @@ class Tensor:
                 key = id(parent)
                 prev = adjoint.get(key)
                 adjoint[key] = pg if prev is None else prev + pg
+
+
+class ColumnGrad:
+    """Adjoint of a matrix that is zero outside a few columns.
+
+    ``parts`` lists ``(cols, block)`` pairs, each from one column lookup
+    in the order the backward pass produced them: ``cols`` are sorted,
+    distinct column indices and ``block`` is the (rows x len(cols))
+    adjoint for them. ``dense()`` starts from zeros and adds the parts
+    in that order, the same float additions as summing each lookup's
+    dense scatter left to right, so the two paths agree bitwise.
+    Adding a dense array from either side densifies first.
+    """
+
+    __slots__ = ("shape", "parts")
+    __array_ufunc__ = None  # ndarray + ColumnGrad falls through to __radd__
+
+    def __init__(self, shape: tuple[int, int], parts: list[tuple[list[int], np.ndarray]]):
+        self.shape = shape
+        self.parts = parts
+
+    def columns(self) -> list[int]:
+        return sorted({c for cols, _ in self.parts for c in cols})
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        for cols, block in self.parts:
+            out[:, cols] += block
+        return out
+
+    def __add__(self, other):
+        if type(other) is ColumnGrad:
+            return ColumnGrad(self.shape, self.parts + other.parts)
+        return self.dense() + other
+
+    def __radd__(self, other):
+        return other + self.dense()
 
 
 def topo_order(root: Tensor) -> list[Tensor]:
@@ -360,8 +426,9 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather columns by index; backward scatter-adds into the source,
-    so a column selected twice accumulates both contributions."""
+    """Gather columns by index; backward scatter-adds into a compact
+    ``ColumnGrad`` over the distinct columns, so a column selected twice
+    accumulates both contributions and no dense adjoint is built."""
     idx = list(indices)
     if len(idx) == 0:
         raise ShapeError("select_columns with no indices")
@@ -371,9 +438,11 @@ def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
     out = m.data[:, idx]
 
     def vjp(g: np.ndarray):
-        grad = np.zeros_like(m.data)
-        np.add.at(grad, (slice(None), idx), g)
-        return (grad,)
+        cols = sorted(set(idx))
+        where = {c: j for j, c in enumerate(cols)}
+        block = np.zeros((m.rows, len(cols)))
+        np.add.at(block, (slice(None), [where[i] for i in idx]), g)
+        return (ColumnGrad(m.shape, [(cols, block)]),)
 
     return _make(out, (m,), vjp)
 

@@ -69,7 +69,9 @@ class MomentumSgd:
 
     Per step: v <- momentum * v - rate * grad; theta <- theta + v.
     A parameter whose grad is unset contributes a zero gradient (its
-    velocity still decays).
+    velocity still decays). Where the gradient names its nonzero columns
+    (``grad_columns``, from embedding lookups), only those columns are
+    subtracted: elsewhere ``v - rate * 0.0`` is ``v`` bit for bit.
     """
 
     def __init__(self, params: list[Tensor], rate: float, momentum: float):
@@ -81,11 +83,16 @@ class MomentumSgd:
     def step(self) -> None:
         for p, v in zip(self.params, self.velocities):
             v *= self.momentum
-            if p.grad is not None:
-                if p.grad.shape != v.shape:
-                    raise ValueError(f"gradient shape {p.grad.shape} != "
+            grad = p.grad
+            if grad is not None:
+                if grad.shape != v.shape:
+                    raise ValueError(f"gradient shape {grad.shape} != "
                                      f"parameter shape {v.shape}")
-                v -= self.rate * p.grad
+                cols = p.grad_columns
+                if cols is None:
+                    v -= self.rate * grad
+                else:
+                    v[:, cols] -= self.rate * grad[:, cols]
             p.data += v
 
 
@@ -94,9 +101,8 @@ def dropout_mask(dim: int, q: float, rng: Rng) -> Tensor:
     1/(1-q) otherwise, so no rescaling is needed at evaluation time."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {q}")
-    keep = 1.0 / (1.0 - q)
-    values = [[0.0] if rng.uniform01() < q else [keep] for _ in range(dim)]
-    return Tensor(values)
+    u = rng.uniform_matrix(dim, 1, 0.0, 1.0)
+    return Tensor(np.where(u < q, 0.0, 1.0 / (1.0 - q)))
 
 
 def reweight(ds: Dataset, task: TaskSpec) -> list[float]:
@@ -149,7 +155,9 @@ def train_step(model, instance, gold: int, weight: float,
         raise TrainingDiverged("non-finite loss")
     loss.backward()
     for p in model.parameters():
-        if p.grad is not None and not np.isfinite(p.grad).all():
+        grad, cols = p.grad, p.grad_columns
+        if grad is not None and not np.isfinite(grad if cols is None
+                                                 else grad[:, cols]).all():
             raise TrainingDiverged("non-finite gradient")
     opt_net.step()
     opt_emb.step()

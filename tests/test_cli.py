@@ -255,6 +255,29 @@ class TestTrain:
             second = (tmp_path / "two" / artifact).read_bytes()
             assert first == second, artifact
 
+    def test_run_leaves_no_temporary_files(self, tmp_path):
+        assert run_synth(tmp_path / "data") == 0
+        cfg = write_config(tmp_path / "c.cfg", max_epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "model.ckpt", "training_log.txt", "training_report.json"]
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        assert run_synth(tmp_path / "data") == 0
+        cfg = write_config(tmp_path / "c.cfg", max_epochs=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        previous = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def failing_save(self, sink):
+            with open(sink, "wb") as fh:
+                fh.write(b"NNMA partial")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(NnmaModel, "save", failing_save)
+        assert main(["train", "--config", str(cfg), "--seed", "17"]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+
     def test_seed_override_changes_model(self, tmp_path):
         assert run_synth(tmp_path / "data") == 0
         cfg_a = write_config(tmp_path / "a.cfg", output_dir="outa", max_epochs=1)

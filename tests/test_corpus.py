@@ -12,7 +12,6 @@ from nnma.corpus import (
     cue_token,
     parse_tsv,
     synth_generate,
-    task_labels,
     write_tsv,
 )
 
@@ -144,12 +143,6 @@ class TestApplyTask:
         for before, after in zip(ds.instances, out.instances):
             assert before.arg1 == after.arg1
             assert before.arg2 == after.arg2
-
-    def test_task_labels_sorted(self):
-        ds = toy_dataset({"Temporal": 1, "Comparison": 1, "Expansion": 1})
-        assert task_labels(ds, TaskSpec("four_way")) == [
-            "Comparison", "Expansion", "Temporal"]
-        assert task_labels(ds, TaskSpec("binary", "Temporal")) == ["Other", "Temporal"]
 
 
 class TestSynthGenerate:

@@ -9,7 +9,6 @@ from nnma.embeddings import (
     embed_sequence,
     load_pretrained,
     normalize_token,
-    write_vectors,
 )
 from nnma.rng import Rng
 from nnma.tensor import sum_all
@@ -122,6 +121,16 @@ class TestLoadPretrained:
         assert result.loaded == 0
         assert result.malformed == 1
 
+    @pytest.mark.parametrize("line", ["the nan 0.5", "the 0.5 inf", "the -inf 0.5",
+                                      "the 1e999 0.5"])
+    def test_non_finite_vector_is_malformed(self, line):
+        vocab = make_vocab("the")
+        fresh = EmbeddingMatrix.random(vocab, 2, Rng(1)).weights.data
+        result = load_pretrained(io.StringIO(line + "\n"), 2, vocab, Rng(1))
+        assert result.loaded == 0
+        assert result.malformed == 1
+        np.testing.assert_array_equal(result.matrix.weights.data, fresh)
+
     def test_out_of_vocabulary_line_ignored(self):
         vocab = make_vocab("the")
         result = load_pretrained(io.StringIO("stranger 0.1 0.2\n"), 2, vocab, Rng(1))
@@ -137,9 +146,10 @@ class TestLoadPretrained:
     def test_round_trip_exact(self):
         vocab = make_vocab("alpha", "beta", "gamma")
         original = load_pretrained(io.StringIO(""), 3, vocab, Rng(5))
-        buf = io.StringIO()
-        write_vectors(original.matrix, vocab, buf)
-        buf.seek(0)
+        weights = original.matrix.weights.data
+        buf = io.StringIO("".join(
+            tok + "".join(f" {float(v)!r}" for v in weights[:, idx]) + "\n"
+            for idx, tok in enumerate(vocab.tokens)))
         reloaded = load_pretrained(buf, 3, vocab, Rng(99))
         np.testing.assert_array_equal(
             original.matrix.weights.data, reloaded.matrix.weights.data

@@ -272,6 +272,104 @@ def test_select_columns_out_of_range():
         T.select_columns(Tensor(np.zeros((2, 2))), [2])
 
 
+def dense_select_columns(m, idx):
+    """The lookup with the dense backward it had before ``ColumnGrad``:
+    a zero matrix of the source's shape, scatter-added per lookup."""
+    idx = list(idx)
+
+    def vjp(g):
+        grad = np.zeros_like(m.data)
+        np.add.at(grad, (slice(None), idx), g)
+        return (grad,)
+
+    return T._make(m.data[:, idx], (m,), vjp)
+
+
+# Columns repeat within a lookup and are shared across lookups.
+LOOKUPS = [[5, 1, 5, 5, 0], [1, 7, 7, 2, 5], [9, 0]]
+
+
+def lookup_loss(select, m, weights, dense_first=None):
+    """Weighted tanh of each lookup of ``m``, summed; optionally plus a
+    dense use of ``m`` before or after the lookups."""
+    terms = [T.sum_all(T.hadamard(T.tanh(select(m, idx)), w))
+             for idx, w in zip(LOOKUPS, weights)]
+    if dense_first is not None:
+        dense = T.sum_all(T.hadamard(m, m))
+        terms = [dense] + terms if dense_first else terms + [dense]
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return total
+
+
+def lookup_grads(source, count, dense_first=None):
+    """``.grad`` of a 3x10 matrix (or of the leaf under a computed one)
+    through the first ``count`` lookups, compact path then dense path."""
+    rng = np.random.default_rng(11)
+    m = rand(3, 10, rng)
+    weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS[:count]]
+    out = []
+    for select in (T.select_columns, dense_select_columns):
+        m.zero_grad()
+        lookup_loss(select, source(m), weights, dense_first).backward()
+        out.append((m.grad.tobytes(), m.grad_columns))
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_compact_lookup_grad_is_the_dense_scatter_bitwise(count):
+    (compact, cols), (dense, _) = lookup_grads(lambda m: m, count)
+    assert compact == dense
+    assert cols == sorted({c for idx in LOOKUPS[:count] for c in idx})
+
+
+@pytest.mark.parametrize("dense_first", [True, False])
+def test_compact_lookup_grad_mixed_with_dense_use(dense_first):
+    # A dense adjoint and compact ones meet in either order; the leaf's
+    # gradient is then dense and names no columns.
+    (compact, cols), (dense, _) = lookup_grads(lambda m: m, 3, dense_first)
+    assert compact == dense
+    assert cols is None
+
+
+@pytest.mark.parametrize("dense_first", [None, True, False])
+def test_compact_lookup_grad_through_computed_matrix(dense_first):
+    # Lookups of tanh(m): the compact adjoint reaches a non-leaf node,
+    # which densifies it before its own backward.
+    (compact, cols), (dense, _) = lookup_grads(T.tanh, 3, dense_first)
+    assert compact == dense
+    assert cols is None
+
+
+def test_compact_lookup_grad_accumulates_over_backward_calls():
+    rng = np.random.default_rng(12)
+    m = rand(3, 10, rng)
+    weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS]
+    loss = lookup_loss(T.select_columns, m, weights)
+    loss.backward()
+    first = m.grad.copy()
+    assert m.grad_columns == [0, 1, 2, 5, 7, 9]
+    loss.backward()
+    assert np.array_equal(m.grad, 2 * first)
+    assert m.grad_columns is None  # accumulated: any column
+    m.zero_grad()
+    assert m.grad is None and m.grad_columns is None
+
+
+def test_column_grad_sums_with_arrays_from_either_side():
+    rng = np.random.default_rng(13)
+    a = T.ColumnGrad((2, 4), [([0, 3], rng.uniform(-1, 1, (2, 2)))])
+    b = T.ColumnGrad((2, 4), [([1, 3], rng.uniform(-1, 1, (2, 2)))])
+    arr = rng.uniform(-1, 1, (2, 4))
+    both = a + b
+    assert isinstance(both, T.ColumnGrad)
+    assert np.array_equal(both.dense(), a.dense() + b.dense())
+    assert np.array_equal(arr + a, arr + a.dense())
+    assert np.array_equal(a + arr, a.dense() + arr)
+    assert np.array_equal(a.dense()[:, [1, 2]], np.zeros((2, 2)))
+
+
 # -- backward semantics --------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from nnma.trainer import (
     dropout_mask,
     fit,
     reweight,
+    train_step,
 )
 
 
@@ -111,6 +115,87 @@ class TestMomentumSgd:
             np.testing.assert_array_equal(p.data, before)
         assert np.any(model.embeddings.weights.data != 0.0)
 
+    def test_hand_set_gradient_after_lookup_updates_every_column(self):
+        # A backward pass leaves the embedding gradient restricted to the
+        # looked-up columns; a gradient assigned by hand afterwards (also
+        # by ``+=``) must update every column, not only those.
+        model, ds = tiny_setup()
+        emb = model.embeddings.weights
+        for assign in ("set", "iadd"):
+            model.zero_grad()
+            model.loss(model.forward(ds.instances[0]), 0).backward()
+            assert emb.grad_columns is not None and len(emb.grad_columns) < emb.cols
+            if assign == "set":
+                emb.grad = np.ones_like(emb.data)
+            else:
+                emb.grad += 1.0
+            assert emb.grad_columns is None
+            opt = MomentumSgd([emb], rate=0.1, momentum=0.0)
+            before = emb.data.copy()
+            opt.step()
+            assert np.all(emb.data != before)
+
+
+def golden_training_run(steps=60):
+    """sha256 over the checkpoint bytes, both optimizers' velocities and
+    every ``.grad`` after ``steps`` train steps with dropout, at V 3000.
+    Each argument draws from a small per-instance pool plus a shared word
+    and an unknown one, so words repeat within and across arguments."""
+    rng = Rng(2024)
+    vocab = Vocabulary([f"w{i}" for i in range(2999)])
+    labels = ["A", "B", "C", "D"]
+    instances = []
+    for n in range(12):
+        pool = [f"w{rng.below(2999)}" for _ in range(4)] + ["w7", "oov"]
+        args = [[pool[rng.below(len(pool))] for _ in range(3 + rng.below(6))]
+                for _ in range(2)]
+        instances.append(Instance(labels[n % 4], args[0], args[1]))
+    model = NnmaModel.create(vocab, labels, d_e=4, d=3, d_m=5, k=2, rng=rng)
+    opt_net = MomentumSgd(model.network_parameters(), 0.05, 0.9)
+    opt_emb = MomentumSgd(model.embedding_parameters(), 0.5, 0.9)
+    for _ in range(steps):
+        inst = instances[rng.below(len(instances))]
+        mask = dropout_mask(6 * model.d, 0.2, rng)
+        train_step(model, inst, model.label_index(inst.label), 1.0,
+                   opt_net, opt_emb, mask)
+    buf = io.BytesIO()
+    model.save(buf)
+    digest = hashlib.sha256(buf.getvalue())
+    for v in opt_net.velocities + opt_emb.velocities:
+        digest.update(v.tobytes())
+    for p in model.parameters():
+        digest.update(p.grad.tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainStep:
+    def test_golden_training_hash(self):
+        # Pinned from the dense embedding gradient and dense momentum
+        # update that the compact column gradient replaced: training must
+        # stay bit-identical, checkpoint, velocities and gradients alike.
+        assert golden_training_run() == (
+            "0ac1917be7e0273dfdf0fdd01a5b2646a7aecd43bb28221a569c1c812d39c031")
+
+    def test_nan_in_touched_embedding_column_diverges(self, monkeypatch):
+        model, ds = tiny_setup()
+        inst = ds.instances[0]
+        emb = model.embeddings.weights
+        col = model.vocab.index(inst.arg2[-1])
+        backward = Tensor.backward
+
+        def poisoned(loss):
+            backward(loss)
+            assert col in emb.grad_columns
+            emb.grad[1, col] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        opt_net = MomentumSgd(model.network_parameters(), 0.1, 0.9)
+        opt_emb = MomentumSgd(model.embedding_parameters(), 0.1, 0.9)
+        before = emb.data.copy()
+        with pytest.raises(TrainingDiverged, match="non-finite gradient"):
+            train_step(model, inst, 0, 1.0, opt_net, opt_emb, None)
+        np.testing.assert_array_equal(emb.data, before)
+
 
 class TestDropoutMask:
     def test_zero_rate_gives_identity(self):
@@ -140,6 +225,16 @@ class TestDropoutMask:
         a = dropout_mask(64, 0.25, Rng(9))
         b = dropout_mask(64, 0.25, Rng(9))
         np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("q", [0.0, 0.1, 0.5])
+    def test_matches_per_entry_draws(self, q):
+        # Reference: one uniform01() draw per entry, zero below q.
+        fast, slow = Rng(31), Rng(31)
+        mask = dropout_mask(300, q, fast).data
+        want = [[0.0] if slow.uniform01() < q else [1.0 / (1.0 - q)] for _ in range(300)]
+        assert mask.shape == (300, 1)
+        assert np.array_equal(mask, np.array(want))
+        assert fast.next_u64() == slow.next_u64()
 
 
 def binary_dataset(pos, neg):
