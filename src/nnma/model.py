@@ -35,7 +35,7 @@ from .attention import (AttentionLevelParams, ArgAttentionParams, AttentionTrace
                         memory_input_width, run_stack)
 from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
-from .recurrent import BiLstmParams, LstmParams, bi_encode, xavier_uniform
+from .recurrent import BiLstmParams, LstmParams, encode_pair, xavier_uniform
 from .rng import Rng
 from .tensor import Tensor, concat, nll_from_logits, scale, softmax
 
@@ -164,8 +164,7 @@ class NnmaModel:
     def forward(self, instance: Instance, dropout_mask: Tensor | None = None) -> Prediction:
         x1 = embed_sequence(instance.arg1, self.vocab, self.embeddings)
         x2 = embed_sequence(instance.arg2, self.vocab, self.embeddings)
-        h1 = bi_encode(x1, self.enc1)
-        h2 = bi_encode(x2, self.enc2)
+        h1, h2 = encode_pair(x1, x2, self.enc1, self.enc2)
         trace = run_stack(h1, h2, self.levels)
         feature = concat([trace.final_r1, trace.final_r2,
                           trace.final_r1 - trace.final_r2])

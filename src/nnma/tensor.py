@@ -6,11 +6,14 @@ and elementwise maps. Each operation records its inputs and a
 vector-Jacobian product (except inside ``no_grad()``, for forward
 passes that no backward pass will use), and ``backward()`` on a 1x1
 result walks the recorded graph once in reverse topological order,
-accumulating exact partial derivatives into ``.grad`` of every tensor
-that requires them. A column lookup's backward yields a compact
-``ColumnGrad`` (the touched columns only), so a parameter read a few
-columns at a time never sees a dense adjoint; its ``.grad`` is still a
-dense array, and ``grad_columns`` names the columns that can be nonzero.
+accumulating exact partial derivatives into ``.grad`` of every leaf
+that requires them. A leaf is a tensor no recorded operation produced,
+such as a parameter or an input; intermediate results pass their
+adjoint on and keep no ``.grad``. A column lookup's backward yields a
+compact ``ColumnGrad`` (the touched columns only), so a parameter read
+a few columns at a time never sees a dense adjoint; its ``.grad`` is
+still a dense array, and ``grad_columns`` names the columns that can be
+nonzero.
 
 ``grad_check`` compares those partials against central finite
 differences and is the verification oracle for everything built on top.
@@ -36,8 +39,10 @@ class Tensor:
             column vector, scalars as 1x1.
         requires_grad: whether backward should deliver a gradient here.
         grad: accumulated partial derivatives, same shape as ``data``;
-            ``None`` until a backward pass reaches this tensor. Repeated
-            backward calls keep adding; call ``zero_grad`` between steps.
+            ``None`` until a backward pass reaches this tensor, and always
+            ``None`` on the result of a recorded operation: only leaves
+            (parameters and inputs) receive one. Repeated backward calls
+            keep adding; call ``zero_grad`` between steps.
         grad_columns: sorted columns outside which ``grad`` is zero, set
             when one backward pass reached this leaf only through column
             lookups; ``None`` means any column. Setting ``grad`` (also
@@ -123,7 +128,9 @@ class Tensor:
     def backward(self) -> None:
         """Reverse sweep from this scalar.
 
-        Gradients are *added* into ``.grad`` (shared parameters may be
+        Gradients are *added* into ``.grad`` of each leaf that requires
+        one; a recorded operation's result only passes its adjoint on to
+        its inputs and gets no ``.grad`` (shared parameters may be
         reached along several paths, and a second backward call without
         ``zero_grad`` doubles them, by contract). Each recorded operation
         is visited exactly once, in reverse topological order; the order
@@ -138,26 +145,29 @@ class Tensor:
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
+            if node._vjp is not None:
+                if type(g) is ColumnGrad:
+                    g = g.dense()
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    key = id(parent)
+                    prev = adjoint.get(key)
+                    adjoint[key] = pg if prev is None else prev + pg
+                continue
+            if not node.requires_grad:
+                continue
             if type(g) is ColumnGrad:
-                if node._vjp is None and node._grad is None:
+                if node._grad is None:
                     node._grad = g.dense()
                     node._grad_columns = g.columns()
                     continue
                 g = g.dense()
-            if node.requires_grad:
-                if node._grad is None:
-                    node._grad = g.copy()
-                else:
-                    node._grad += g
-                node._grad_columns = None
-            if node._vjp is None:
-                continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                prev = adjoint.get(key)
-                adjoint[key] = pg if prev is None else prev + pg
+            if node._grad is None:
+                node._grad = g.copy()
+            else:
+                node._grad += g
+            node._grad_columns = None
 
 
 class ColumnGrad:
@@ -443,6 +453,23 @@ def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
         block = np.zeros((m.rows, len(cols)))
         np.add.at(block, (slice(None), [where[i] for i in idx]), g)
         return (ColumnGrad(m.shape, [(cols, block)]),)
+
+    return _make(out, (m,), vjp)
+
+
+def column_block(m: Tensor, start: int, stop: int) -> Tensor:
+    """Columns ``start`` to ``stop - 1``, copied in the memory order of
+    ``m`` (C-contiguous from a C-contiguous ``m``); backward places the
+    adjoint in a dense zero matrix. For a block of a small matrix, where a
+    dense adjoint costs less than ``select_columns``' compact scatter."""
+    if not 0 <= start < stop <= m.cols:
+        raise ShapeError(f"column block {start}:{stop} out of range for {m.shape}")
+    out = m.data[:, start:stop]
+
+    def vjp(g: np.ndarray):
+        full = np.zeros(m.shape)
+        full[:, start:stop] = g
+        return (full,)
 
     return _make(out, (m,), vjp)
 

@@ -15,6 +15,7 @@ parameters are kept and restored at the end. Training stops after
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,8 +53,9 @@ class Hyperparams:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.rate <= 0 or self.embedding_rate <= 0:
-            raise ValueError("learning rates must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in (self.rate, self.embedding_rate)):
+            raise ValueError(f"learning rates must be finite and positive, got rate "
+                             f"{self.rate}, embedding_rate {self.embedding_rate}")
         if self.k < 1:
             raise ValueError(f"need at least one attention level, got {self.k}")
         if min(self.d, self.d_m, self.d_e) < 1:

@@ -307,6 +307,14 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "missing_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("rate", "nan"), ("embedding_rate", "inf")])
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, capsys, key, value):
+        assert run_synth(tmp_path / "data") == 0
+        cfg = write_config(tmp_path / "c.cfg", **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "learning rates must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_split_exits_2(self, tmp_path, capsys):
         (tmp_path / "data").mkdir()
         (tmp_path / "data" / "dev.tsv").write_text("")

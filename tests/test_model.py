@@ -299,3 +299,21 @@ def test_training_tape_size_at_overfit_shape():
                       model.label_index(inst.label))
     assert len(inst.arg1) >= 10
     assert len(topo_order(loss)) < 120
+
+
+def test_training_tape_exact_at_overfit_shape():
+    # Exact guard on the same instance: the four LSTM directions are one
+    # recorded operation, read through two column blocks.
+    data = synth_generate(42, 20)
+    inst = data.instances[0]
+    model = NnmaModel.create(Vocabulary.from_instances(data.instances),
+                             data.label_inventory(), d_e=50, d=16, d_m=32,
+                             k=2, rng=Rng(42))
+    loss = model.loss(model.forward(inst, Tensor(np.ones((96, 1)))),
+                      model.label_index(inst.label))
+    tape = topo_order(loss)
+    assert (len(inst.arg1), len(inst.arg2)) == (14, 15)
+    assert len(tape) == 107
+    lstm = {id(t) for t in model.enc1.tensors() + model.enc2.tensors()}
+    encoders = [n for n in tape if any(id(p) in lstm for p in n._parents)]
+    assert len(encoders) == 1

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nnma.recurrent import BiLstmParams, LstmParams, bi_encode, run_direction
+from nnma.recurrent import BiLstmParams, LstmParams, encode_pair
 from nnma.rng import Rng
-from nnma.tensor import (Tensor, concat, grad_check, hadamard, hstack,
-                         select_columns, sigmoid, sum_all, tanh, topo_order)
+from nnma.tensor import (ShapeError, Tensor, _make, add, concat, grad_check,
+                         hadamard, hstack, select_columns, sigmoid, sum_all,
+                         tanh, topo_order)
 
 
 def lstm_step(x, h_prev, c_prev, p):
@@ -35,6 +36,93 @@ def unrolled_direction(seq, p, reverse=False):
         h, c = lstm_step(select_columns(seq, [t]), h, c, p)
         states[t] = h
     return hstack([states[t] for t in range(seq.cols)])
+
+
+def run_direction(seq, p, reverse=False):
+    """Reference direction run, the per-direction operation that
+    ``encode_pair`` steps four at a time: hidden states over a
+    (input_dim x L) sequence, one column per word.
+
+    Initial h and c are zero. With ``reverse`` the words are consumed
+    last-to-first, but output column i still corresponds to word i of
+    the original order.
+
+    Each step consumes [x; h_prev] through the four gate projections:
+    i, f, o = sigmoid(W_* [x; h_prev] + b_*), c_hat = tanh(W_c [x; h_prev]
+    + b_c), c = i * c_hat + f * c_prev, h = o * tanh(c). The gate weights
+    are stacked into one 4d x (input_dim + d) matrix, the input
+    projection of every word is one matrix product, and the backward pass
+    is hand-written backpropagation through time.
+    """
+    length = seq.cols
+    if length == 0:
+        raise ValueError("run_direction needs at least one word")
+    d = p.hidden_dim
+    n_in = seq.rows
+    params = p.tensors()
+    W = np.concatenate([t.data for t in params[:4]], axis=0)
+    if W.shape[1] != n_in + d:
+        raise ShapeError(f"gate weights {W.shape} do not fit a {n_in}-row "
+                         f"input with hidden size {d}")
+    b = np.concatenate([t.data for t in params[4:]], axis=0).reshape(-1)
+    W_x, W_h = W[:, :n_in], W[:, n_in:]
+
+    # Rows are steps in consumption order.
+    X = np.ascontiguousarray(seq.data.T[::-1] if reverse else seq.data.T)
+    A = X @ W_x.T + b
+    gates = np.empty((length, 4 * d))
+    cells = np.empty((length, d))
+    tanh_c = np.empty((length, d))
+    hidden = np.empty((length, d))
+    h = c = np.zeros(d)
+    for t in range(length):
+        a = A[t] if t == 0 else A[t] + W_h @ h
+        g = gates[t]
+        g[:3 * d] = 1.0 / (1.0 + np.exp(-a[:3 * d]))
+        g[3 * d:] = np.tanh(a[3 * d:])
+        c = cells[t] = g[:d] * g[3 * d:] + g[d:2 * d] * c
+        tc = tanh_c[t] = np.tanh(c)
+        h = hidden[t] = g[2 * d:3 * d] * tc
+
+    out = hidden[::-1].T if reverse else hidden.T
+
+    def vjp(grad):
+        dH = grad.T[::-1] if reverse else grad.T
+        i, f, o, c_hat = (gates[:, k * d:(k + 1) * d] for k in range(4))
+        c_prev = np.vstack([np.zeros((1, d)), cells[:-1]])
+        # Local derivative of each pre-activation row with respect to dc
+        # (input, forget and candidate rows) or dh (output row).
+        local = np.hstack([c_hat * i * (1.0 - i), c_prev * f * (1.0 - f),
+                           tanh_c * o * (1.0 - o), i * (1.0 - c_hat * c_hat)])
+        through_c = o * (1.0 - tanh_c * tanh_c)
+        W_hT = np.ascontiguousarray(W_h.T)
+        DA = np.empty((length, 4 * d))
+        dh = dH[length - 1]
+        dc = np.zeros(d)
+        for t in range(length - 1, -1, -1):
+            dc = dh * through_c[t] + dc
+            da = DA[t] = local[t] * np.concatenate((dc, dc, dh, dc))
+            if t:
+                dh = dH[t - 1] + W_hT @ da
+                dc = dc * f[t]
+        h_prev = np.vstack([np.zeros((1, d)), hidden[:-1]])
+        dX = DA @ W_x
+        dW = DA.T @ np.hstack([X, h_prev])
+        db = DA.sum(axis=0).reshape(-1, 1)
+        dX = dX[::-1].T if reverse else dX.T
+        return ((np.ascontiguousarray(dX),)
+                + tuple(dW[k * d:(k + 1) * d] for k in range(4))
+                + tuple(db[k * d:(k + 1) * d] for k in range(4)))
+
+    return _make(np.ascontiguousarray(out), (seq, *params), vjp)
+
+
+def bi_encode(seq, p):
+    """Reference bidirectional encoding: column i = [forward_i; backward_i],
+    shape 2d x L, from two ``run_direction`` operations and a ``concat``."""
+    fwd = run_direction(seq, p.forward, reverse=False)
+    bwd = run_direction(seq, p.backward, reverse=True)
+    return concat([fwd, bwd])
 
 
 def zero_params(input_dim, hidden_dim):
@@ -296,3 +384,106 @@ class TestBiEncode:
         seq = random_seq(3, 10, seed=45)
         out = bi_encode(seq, p)
         assert np.all(np.abs(out.data) < 1.0)
+
+
+class TestEncodePair:
+    """The four-direction operation against two reference encoders."""
+
+    @staticmethod
+    def setup_case(lengths, seed, input_dim=5, hidden_dim=3):
+        rng = Rng(seed)
+        p1 = BiLstmParams.create(input_dim, hidden_dim, rng)
+        p2 = BiLstmParams.create(input_dim, hidden_dim, rng)
+        for t in p1.tensors() + p2.tensors():
+            if t.cols == 1:
+                t.data[:] = rng.uniform_matrix(hidden_dim, 1, -0.5, 0.5)
+        xs = [Tensor(rng.uniform_matrix(input_dim, n, -1.0, 1.0), requires_grad=True)
+              for n in lengths]
+        # Distinct weights per output entry, so every column's adjoint
+        # differs and a misaligned step shows.
+        ws = [Tensor(rng.uniform_matrix(2 * hidden_dim, n, -1.0, 1.0)) for n in lengths]
+
+        def loss(h1, h2):
+            return add(sum_all(hadamard(h1, ws[0])), sum_all(hadamard(h2, ws[1])))
+
+        return xs, (p1, p2), loss
+
+    @pytest.mark.parametrize("lengths", [(1, 1), (1, 5), (5, 1), (4, 4), (13, 30), (30, 13)])
+    def test_bitwise_equal_to_reference_values_and_34_gradients(self, lengths):
+        (x1, x2), (p1, p2), loss = self.setup_case(lengths, seed=80 + sum(lengths))
+        inputs = [x1, x2] + p1.tensors() + p2.tensors()
+        assert len(inputs) == 34
+        results = []
+        for encode in (lambda: encode_pair(x1, x2, p1, p2),
+                       lambda: (bi_encode(x1, p1), bi_encode(x2, p2))):
+            for t in inputs:
+                t.zero_grad()
+            h1, h2 = encode()
+            loss(h1, h2).backward()
+            results.append(([h1.data, h2.data], [t.grad for t in inputs]))
+        (fused, fused_grads), (ref, ref_grads) = results
+        assert fused[0].shape == (6, lengths[0]) and fused[1].shape == (6, lengths[1])
+        for got, want in zip(fused + fused_grads, ref + ref_grads):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lengths", [(1, 4), (4, 1)])
+    def test_padded_steps_never_reach_the_result(self, lengths):
+        # A one-word argument never uses its recurrent weights, so NaN
+        # there must not leak in from the steps its directions are padded
+        # through while the other argument is still being read.
+        (x1, x2), (p1, p2), loss = self.setup_case(lengths, seed=95)
+        short = p1 if lengths[0] == 1 else p2
+        for p in (short.forward, short.backward):
+            for w in (p.W_i, p.W_f, p.W_o, p.W_c):
+                w.data[:, 5:] = np.nan
+        inputs = [x1, x2] + p1.tensors() + p2.tensors()
+        results = []
+        for encode in (lambda: encode_pair(x1, x2, p1, p2),
+                       lambda: (bi_encode(x1, p1), bi_encode(x2, p2))):
+            for t in inputs:
+                t.zero_grad()
+            h1, h2 = encode()
+            loss(h1, h2).backward()
+            results.append([h1.data, h2.data] + [t.grad for t in inputs])
+        fused, ref = results
+        assert all(np.isfinite(a).all() for a in ref)
+        for got, want in zip(fused, ref):
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradient_check(self):
+        (x1, x2), (p1, p2), loss = self.setup_case((3, 5), seed=90, input_dim=3, hidden_dim=2)
+        params = [x1, x2] + p1.tensors() + p2.tensors()
+        assert grad_check(lambda: loss(*encode_pair(x1, x2, p1, p2)), params) < 1e-6
+
+    def test_outputs_are_c_contiguous(self):
+        (x1, x2), (p1, p2), _ = self.setup_case((4, 7), seed=91)
+        for h in encode_pair(x1, x2, p1, p2):
+            assert h.data.flags.c_contiguous
+
+    def test_one_recorded_operation_under_the_blocks(self):
+        (x1, x2), (p1, p2), _ = self.setup_case((4, 7), seed=92)
+        h1, h2 = encode_pair(x1, x2, p1, p2)
+        (op1,), (op2,) = h1._parents, h2._parents
+        assert op1 is op2
+        assert op1._parents == (x1, x2, *p1.tensors(), *p2.tensors())
+
+    @pytest.mark.parametrize("lengths", [(0, 3), (3, 0)])
+    def test_empty_argument_rejected(self, lengths):
+        p = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
+        x1, x2 = (Tensor(np.zeros((2, n))) for n in lengths)
+        with pytest.raises(ValueError):
+            encode_pair(x1, x2, p, p)
+
+    def test_gate_width_mismatch_rejected(self):
+        p = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
+        x = Tensor.zeros(5, 4)
+        with pytest.raises(ShapeError):
+            encode_pair(x, x, p, p)
+
+    def test_hidden_size_mismatch_rejected(self):
+        p1 = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
+        p2 = BiLstmParams(zero_params(2, 4), zero_params(2, 4))
+        x = Tensor.zeros(2, 4)
+        with pytest.raises(ShapeError):
+            encode_pair(x, x, p1, p2)

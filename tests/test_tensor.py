@@ -272,6 +272,22 @@ def test_select_columns_out_of_range():
         T.select_columns(Tensor(np.zeros((2, 2))), [2])
 
 
+def test_column_block_values_layout_and_gradient():
+    m = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    left, right = T.column_block(m, 0, 1), T.column_block(m, 1, 4)
+    assert np.array_equal(right.data, m.data[:, 1:])
+    assert right.data.flags.c_contiguous and left.data.flags.c_contiguous
+    w = Tensor(np.arange(9.0).reshape(3, 3))
+    T.add(T.sum_all(left), T.sum_all(T.hadamard(right, w))).backward()
+    assert np.array_equal(m.grad, np.hstack([np.ones((3, 1)), w.data]))
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (0, 5)])
+def test_column_block_out_of_range(start, stop):
+    with pytest.raises(T.ShapeError):
+        T.column_block(Tensor(np.zeros((2, 4))), start, stop)
+
+
 def dense_select_columns(m, idx):
     """The lookup with the dense backward it had before ``ColumnGrad``:
     a zero matrix of the source's shape, scatter-added per lookup."""

@@ -9,7 +9,7 @@ from nnma.embeddings import Vocabulary
 from nnma.metrics import evaluate
 from nnma.model import NnmaModel
 from nnma.rng import Rng
-from nnma.tensor import Tensor
+from nnma.tensor import Tensor, topo_order
 from nnma.trainer import (
     Hyperparams,
     MomentumSgd,
@@ -52,6 +52,8 @@ class TestHyperparams:
         dict(dropout=1.0), dict(dropout=-0.1), dict(momentum=1.0),
         dict(rate=0.0), dict(embedding_rate=-1.0), dict(k=0),
         dict(max_epochs=0), dict(patience=-1), dict(d=0),
+        dict(rate=float("nan")), dict(rate=float("inf")),
+        dict(embedding_rate=float("inf")), dict(embedding_rate=float("nan")),
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -175,6 +177,27 @@ class TestTrainStep:
         # stay bit-identical, checkpoint, velocities and gradients alike.
         assert golden_training_run() == (
             "0ac1917be7e0273dfdf0fdd01a5b2646a7aecd43bb28221a569c1c812d39c031")
+
+    def test_only_leaves_keep_a_gradient(self, monkeypatch):
+        model, ds = tiny_setup()
+        inst = ds.instances[0]
+        losses = []
+        backward = Tensor.backward
+
+        def keep(loss):
+            losses.append(loss)
+            backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", keep)
+        opt_net = MomentumSgd(model.network_parameters(), 0.1, 0.9)
+        opt_emb = MomentumSgd(model.embedding_parameters(), 0.1, 0.9)
+        train_step(model, inst, 0, 1.0, opt_net, opt_emb, dropout_mask(6 * model.d, 0.2, Rng(3)))
+        tape = topo_order(losses[0])
+        ops = [t for t in tape if t._vjp is not None]
+        leaves = [t for t in tape if t._vjp is None]
+        assert ops and all(t.grad is None for t in ops)
+        assert {id(t) for t in leaves} == {id(p) for p in model.parameters()}
+        assert all(t.grad is not None for t in leaves)
 
     def test_nan_in_touched_embedding_column_diverges(self, monkeypatch):
         model, ds = tiny_setup()
