@@ -11,11 +11,19 @@ passes 1..k-1 extracted.
 
 All weight shapes are in terms of d (encoder hidden size per direction,
 so word encodings have 2d rows) and d_m (memory size).
+
+The stack reads a batch of B instances at once, in the segment layout
+of ``tensor.segments``: an encoding holds every instance's words side
+by side (``lengths1``/``lengths2`` give each instance's word count),
+each representation and memory is a B-column matrix with one column per
+instance, and each attention distribution is one column holding every
+instance's distribution as a run of rows. One instance is B = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .rng import Rng
 from .recurrent import xavier_uniform
@@ -24,15 +32,17 @@ from .tensor import (
     broadcast_repeat,
     concat,
     mean_cols,
-    softmax,
+    segment_matvec,
+    segment_softmax,
+    segments,
+    spans,
     tanh,
-    transpose,
 )
 
 
 @dataclass
 class GeneralRepr:
-    """Mean-pooled argument representations, each 2d x 1."""
+    """Mean-pooled argument representations, each 2d x B."""
 
     R0_1: Tensor
     R0_2: Tensor
@@ -87,9 +97,9 @@ class AttentionLevelParams:
 
 @dataclass
 class LevelOutput:
-    """Everything one pass produced: memory, both attention
-    distributions (columns, length L_1 and L_2), both re-read
-    representations (2d x 1)."""
+    """Everything one pass produced: memory (d_m x B), both attention
+    distributions (columns of every instance's L_1, resp. L_2, rows),
+    both re-read representations (2d x B)."""
 
     M: Tensor
     a1: Tensor
@@ -100,10 +110,13 @@ class LevelOutput:
 
 @dataclass
 class AttentionTrace:
-    """Full record of a forward pass through the stack."""
+    """Full record of a forward pass through the stack, for the batch
+    whose arguments have ``lengths1`` and ``lengths2`` words."""
 
     general: GeneralRepr
     levels: list[LevelOutput]
+    lengths1: list[int]
+    lengths2: list[int]
 
     @property
     def final_r1(self) -> Tensor:
@@ -113,10 +126,30 @@ class AttentionTrace:
     def final_r2(self) -> Tensor:
         return self.levels[-1].R2
 
+    def split(self) -> list["AttentionTrace"]:
+        """One trace per instance, in batch order: its column of every
+        representation and memory and its rows of every distribution, as
+        plain tensors outside any recorded graph."""
+        out = []
+        rows = zip(spans(self.lengths1), spans(self.lengths2))
+        for b, ((s1, t1), (s2, t2)) in enumerate(rows):
+            def col(t: Tensor) -> Tensor:
+                return Tensor(t.data[:, b])
 
-def general_repr(h1: Tensor, h2: Tensor) -> GeneralRepr:
-    """Pass-0 representations: column means of the encoder outputs."""
-    return GeneralRepr(mean_cols(h1), mean_cols(h2))
+            levels = [LevelOutput(col(lv.M), Tensor(lv.a1.data[s1:t1]),
+                                  Tensor(lv.a2.data[s2:t2]), col(lv.R1), col(lv.R2))
+                      for lv in self.levels]
+            out.append(AttentionTrace(GeneralRepr(col(self.general.R0_1),
+                                                  col(self.general.R0_2)),
+                                      levels, [t1 - s1], [t2 - s2]))
+        return out
+
+
+def general_repr(h1: Tensor, h2: Tensor, lengths1: Sequence[int] | None = None,
+                 lengths2: Sequence[int] | None = None) -> GeneralRepr:
+    """Pass-0 representations: each instance's column mean of its
+    encoder output."""
+    return GeneralRepr(mean_cols(h1, lengths1), mean_cols(h2, lengths2))
 
 
 def memory_first(g: GeneralRepr, p: AttentionLevelParams) -> Tensor:
@@ -132,32 +165,42 @@ def memory_next(r1_prev: Tensor, r2_prev: Tensor, m_prev: Tensor,
     return tanh(p.w_m @ stacked)
 
 
-def attend(h: Tensor, M: Tensor, p: ArgAttentionParams) -> tuple[Tensor, Tensor]:
+def attend(h: Tensor, M: Tensor, p: ArgAttentionParams,
+           lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
     """Memory-conditioned attention over one argument.
 
-    o = tanh(W_a h + W_b (M repeated across L columns)); position scores
-    are the row W_s o, and a = softmax of that row as a column vector.
-    Returns (a, R) with R = h a, the re-read representation. With
-    W_s = 0 the distribution is exactly uniform and R reproduces the
-    column mean of h bitwise (see mean_cols).
+    o = tanh(W_a h + W_b (M repeated across each instance's L columns));
+    position scores are the row W_s o, and a = softmax of each
+    instance's scores, as one column. Returns (a, R) with R = h a per
+    instance, the re-read representation. With W_s = 0 every
+    distribution is exactly uniform and R reproduces the column mean of
+    h bitwise (see mean_cols).
     """
-    length = h.cols
-    o = tanh(p.w_a @ h + p.w_b @ broadcast_repeat(M, length))
-    scores = p.w_s @ o
-    a = softmax(transpose(scores))
-    return a, h @ a
+    sizes = segments(h.cols, lengths)
+    o = tanh(p.w_a @ h + p.w_b @ broadcast_repeat(M, sizes))
+    a = segment_softmax(p.w_s @ o, sizes)
+    return a, segment_matvec(h, a, sizes)
 
 
-def run_stack(h1: Tensor, h2: Tensor,
-              params: list[AttentionLevelParams]) -> AttentionTrace:
-    """All K attention passes over an encoded argument pair.
+def run_stack(h1: Tensor, h2: Tensor, params: list[AttentionLevelParams],
+              lengths1: Sequence[int] | None = None,
+              lengths2: Sequence[int] | None = None) -> AttentionTrace:
+    """All K attention passes over a batch of encoded argument pairs.
 
-    Level 1 builds its memory from the pass-0 means; each later level
-    builds it from the previous level's representations and memory.
+    ``h1`` and ``h2`` hold every instance's word encodings side by side,
+    ``lengths1[b]`` and ``lengths2[b]`` columns for instance b (None: one
+    instance). Level 1 builds its memory from the pass-0 means; each
+    later level builds it from the previous level's representations and
+    memory. Every instance reads only its own segment, so its
+    distributions and representations are those it would get alone, up
+    to the rounding of the products the batch shares (W_a h, W_b M).
     """
     if len(params) == 0:
         raise ValueError("attention stack needs at least one level")
-    g = general_repr(h1, h2)
+    lengths1, lengths2 = segments(h1.cols, lengths1), segments(h2.cols, lengths2)
+    if len(lengths1) != len(lengths2):
+        raise ValueError(f"{len(lengths1)} first and {len(lengths2)} second arguments")
+    g = general_repr(h1, h2, lengths1, lengths2)
     levels: list[LevelOutput] = []
     for k, p in enumerate(params, start=1):
         if k == 1:
@@ -165,7 +208,7 @@ def run_stack(h1: Tensor, h2: Tensor,
         else:
             prev = levels[-1]
             M = memory_next(prev.R1, prev.R2, prev.M, p)
-        a1, r1 = attend(h1, M, p.arg1)
-        a2, r2 = attend(h2, M, p.arg2)
+        a1, r1 = attend(h1, M, p.arg1, lengths1)
+        a2, r2 = attend(h2, M, p.arg2, lengths2)
         levels.append(LevelOutput(M, a1, a2, r1, r2))
-    return AttentionTrace(g, levels)
+    return AttentionTrace(g, levels, lengths1, lengths2)

@@ -45,15 +45,16 @@ from .corpus import (
 )
 from .embeddings import EmbeddingMatrix, Vocabulary, load_pretrained
 from .metrics import (
-    attention_kl_report,
+    attention_traces,
     evaluate,
     heatmap_csv,
     heatmap_ppm,
+    kl_report,
     render_kl_report,
 )
 from .model import CheckpointError, NnmaModel
 from .rng import Rng
-from .tensor import Tensor, add, grad_check, no_grad
+from .tensor import Tensor, add, grad_check
 from .trainer import Hyperparams, TrainingDiverged, fit, reweight
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -291,9 +292,11 @@ def cmd_analyze(args) -> int:
             raise ConfigError(f"instance id {idx} out of range "
                               f"(dataset has {len(ds)} instances)")
 
+    # One batched pass serves the KL report and the heatmaps.
+    needed = range(len(ds)) if model.k >= 2 else ids
+    traces = dict(zip(needed, attention_traces(model, [ds.instances[i] for i in needed])))
     if model.k >= 2:
-        report = attention_kl_report(model, ds, flipped=args.flip_kl)
-        text = render_kl_report(report)
+        text = render_kl_report(kl_report(list(traces.values()), flipped=args.flip_kl))
     else:
         text = ("# KL report unavailable: it compares attention levels and "
                 "this model has a single level\n")
@@ -301,9 +304,7 @@ def cmd_analyze(args) -> int:
     (out_dir / "kl_report.txt").write_text(text)
 
     for idx in ids:
-        inst = ds.instances[idx]
-        with no_grad():
-            trace = model.forward(inst).trace
+        inst, trace = ds.instances[idx], traces[idx]
         with open(out_dir / f"heatmap_{idx}.csv", "w", encoding="utf-8") as fh:
             heatmap_csv(trace, inst.arg1, inst.arg2, fh)
         with open(out_dir / f"heatmap_{idx}.ppm", "wb") as fh:

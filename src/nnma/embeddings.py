@@ -78,6 +78,11 @@ class Vocabulary:
     def index(self, raw: str) -> int:
         return self._index.get(normalize_token(raw), 0)
 
+    def indices(self, tokens: Sequence[str]) -> list[int]:
+        """``index`` of each token, in order."""
+        get = self._index.get
+        return [get(normalize_token(tok), 0) for tok in tokens]
+
     def __contains__(self, token: str) -> bool:
         return normalize_token(token) in self._index
 
@@ -163,5 +168,4 @@ def embed_sequence(tokens: Sequence[str], vocab: Vocabulary, emb: EmbeddingMatri
     """
     if len(tokens) == 0:
         raise ValueError("cannot embed an empty token sequence")
-    indices = [vocab.index(tok) for tok in tokens]
-    return select_columns(emb.weights, indices)
+    return select_columns(emb.weights, vocab.indices(tokens))

@@ -25,7 +25,6 @@ import numpy as np
 
 from .attention import AttentionTrace
 from .corpus import Dataset
-from .tensor import no_grad
 
 
 @dataclass
@@ -86,11 +85,14 @@ def macro_f1(preds: Sequence[str], golds: Sequence[str],
 
 
 def evaluate(model, ds: Dataset) -> MetricsResult:
-    """Forward every instance (no dropout, no graph recorded) and score
-    against gold labels."""
-    with no_grad():
-        preds = [model.label_names[model.forward(inst).predicted_label]
-                 for inst in ds.instances]
+    """Score every instance against its gold label: forward-only
+    batches (``NnmaModel.forward_chunks``: length-sorted chunks, no
+    dropout, no graph recorded), each instance one column of its chunk's
+    class distributions, predictions put back in dataset order."""
+    preds: list[str] = [""] * len(ds)
+    for positions, prediction in model.forward_chunks(ds.instances):
+        for i, label in zip(positions, prediction.predicted):
+            preds[i] = model.label_names[label]
     golds = [inst.label for inst in ds.instances]
     return macro_f1(preds, golds, model.label_names)
 
@@ -144,25 +146,41 @@ class KlReport:
         return "KL(a_i || a_j) for i < j; KL(uniform || a_i)"
 
 
+def attention_traces(model, instances: Sequence) -> list[AttentionTrace]:
+    """Each instance's attention trace, in the order given, cut from the
+    segments of forward-only batches (``NnmaModel.forward_chunks``)."""
+    traces: list[AttentionTrace] = [None] * len(instances)  # type: ignore[list-item]
+    for positions, prediction in model.forward_chunks(instances):
+        for i, trace in zip(positions, prediction.trace.split()):
+            traces[i] = trace
+    return traces
+
+
 def attention_kl_report(model, ds: Dataset, flipped: bool = False) -> KlReport:
     """Mean KL divergences between attention levels over a dataset.
 
-    Aggregation is per instance then averaged, separately per argument
-    side. Requires at least two attention levels.
+    The distributions come from batched forward-only passes
+    (``attention_traces``): each instance's rows of a chunk's attention
+    columns. Aggregation is per instance then averaged in dataset
+    order, separately per argument side. Requires at least two
+    attention levels.
     """
     if model.k < 2:
         raise ValueError("KL report needs a model with at least 2 attention levels")
     if len(ds) == 0:
         raise ValueError("KL report over an empty dataset")
-    k = model.k
+    return kl_report(attention_traces(model, ds.instances), flipped)
+
+
+def kl_report(traces: Sequence[AttentionTrace], flipped: bool = False) -> KlReport:
+    """``attention_kl_report`` over one trace per instance."""
+    k = len(traces[0].levels)
     pair_keys = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     sums = {side: {"pairs": {key: 0.0 for key in pair_keys},
                    "uniform": {i: 0.0 for i in range(1, k + 1)}}
             for side in (1, 2)}
 
-    for inst in ds.instances:
-        with no_grad():
-            trace = model.forward(inst).trace
+    for trace in traces:
         for side in (1, 2):
             dists = [
                 (lv.a1 if side == 1 else lv.a2).data.reshape(-1)
@@ -179,7 +197,7 @@ def attention_kl_report(model, ds: Dataset, flipped: bool = False) -> KlReport:
                          else kl_divergence(uni, dists[i - 1]))
                 sums[side]["uniform"][i] += value
 
-    count = len(ds)
+    count = len(traces)
     sides = []
     for side in (1, 2):
         sides.append(SideKl(

@@ -7,6 +7,13 @@ the concatenated top-level features [R1; R2; R1 - R2] through a linear
 layer and softmax. During training an inverted-dropout mask is applied
 to that feature vector right before the linear layer.
 
+There is one forward pass, over a batch of B instances in the segment
+layout of ``tensor.segments``; training runs it with B = 1, one
+instance per step. Forward-only work (evaluation, attention analysis)
+runs it over length-sorted chunks of at most ``CHUNK`` instances with
+no graph recorded (``forward_chunks``): fewer, larger matrix products
+than one instance at a time, at the same values up to rounding.
+
 Checkpoint layout (little-endian throughout):
 
     bytes 0..3   magic "NNMA"
@@ -27,7 +34,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -37,10 +44,11 @@ from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from .recurrent import BiLstmParams, LstmParams, encode_pair, xavier_uniform
 from .rng import Rng
-from .tensor import Tensor, concat, nll_from_logits, scale, softmax
+from .tensor import Tensor, add_bias, concat, nll_from_logits, no_grad, scale, softmax
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
+CHUNK = 16  # most instances in one forward-only batch
 
 
 class CheckpointError(ValueError):
@@ -61,14 +69,21 @@ def parameter_shapes(d_e: int, d: int, d_m: int, k: int, n: int,
 
 @dataclass
 class Prediction:
-    """Classifier output for one instance: the class distribution, the
-    argmax label index (lowest index wins ties), the full attention
-    trace, and the raw logits the loss is computed from."""
+    """Classifier output for a batch of B instances: the class
+    distributions (one column each), the argmax label index of each
+    (lowest index wins ties), the full attention trace, and the raw
+    logits the loss is computed from."""
 
     probabilities: Tensor
-    predicted_label: int
+    predicted: list[int]
     trace: AttentionTrace
     logits: Tensor
+
+    @property
+    def predicted_label(self) -> int:
+        """The argmax label index of a one-instance prediction."""
+        (label,) = self.predicted
+        return label
 
 
 class NnmaModel:
@@ -162,18 +177,47 @@ class NnmaModel:
     # -- forward / loss -----------------------------------------------------
 
     def forward(self, instance: Instance, dropout_mask: Tensor | None = None) -> Prediction:
-        x1 = embed_sequence(instance.arg1, self.vocab, self.embeddings)
-        x2 = embed_sequence(instance.arg2, self.vocab, self.embeddings)
-        h1, h2 = encode_pair(x1, x2, self.enc1, self.enc2)
-        trace = run_stack(h1, h2, self.levels)
+        """One instance: ``forward_batch`` with B = 1."""
+        return self.forward_batch([instance], dropout_mask)
+
+    def forward_batch(self, instances: Sequence[Instance],
+                      dropout_mask: Tensor | None = None) -> Prediction:
+        """The forward pass over B instances side by side: every word of
+        their first arguments in one matrix, of their second arguments
+        in another, so each layer is one operation for the whole batch.
+        ``dropout_mask`` multiplies the 6d x B feature matrix."""
+        lengths1 = [len(inst.arg1) for inst in instances]
+        lengths2 = [len(inst.arg2) for inst in instances]
+        if min(lengths1 + lengths2, default=0) == 0:
+            raise ValueError("cannot embed an empty token sequence")
+        x1 = embed_sequence([tok for inst in instances for tok in inst.arg1],
+                            self.vocab, self.embeddings)
+        x2 = embed_sequence([tok for inst in instances for tok in inst.arg2],
+                            self.vocab, self.embeddings)
+        h1, h2 = encode_pair(x1, x2, self.enc1, self.enc2, lengths1, lengths2)
+        trace = run_stack(h1, h2, self.levels, lengths1=lengths1, lengths2=lengths2)
         feature = concat([trace.final_r1, trace.final_r2,
                           trace.final_r1 - trace.final_r2])
         if dropout_mask is not None:
             feature = feature * dropout_mask
-        logits = self.w_p @ feature + self.b_p
+        logits = add_bias(self.w_p @ feature, self.b_p)
         probabilities = softmax(logits)
-        predicted = int(np.argmax(probabilities.data))
+        predicted = np.argmax(probabilities.data, axis=0).tolist()
         return Prediction(probabilities, predicted, trace, logits)
+
+    def forward_chunks(self, instances: Sequence[Instance]
+                       ) -> Iterator[tuple[list[int], Prediction]]:
+        """Forward-only passes over ``instances``: ordered by their longer
+        argument, cut into chunks of at most ``CHUNK``, each chunk one
+        ``forward_batch`` with no graph recorded. Yields each chunk's
+        positions in ``instances`` and its prediction."""
+        order = sorted(range(len(instances)),
+                       key=lambda i: max(len(instances[i].arg1), len(instances[i].arg2)))
+        for start in range(0, len(order), CHUNK):
+            chunk = order[start:start + CHUNK]
+            with no_grad():
+                prediction = self.forward_batch([instances[i] for i in chunk])
+            yield chunk, prediction
 
     def loss(self, prediction: Prediction, gold: int, weight: float = 1.0) -> Tensor:
         """weight * (-log P[gold]), computed from the logits via

@@ -60,6 +60,9 @@ class Tensor:
             arr = arr.reshape(-1, 1)
         elif arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D at most, got ndim={arr.ndim}")
+        self._adopt(arr, requires_grad)
+
+    def _adopt(self, arr: np.ndarray, requires_grad: bool) -> None:
         self.data = arr
         self.requires_grad = requires_grad
         self._grad: np.ndarray | None = None
@@ -215,19 +218,21 @@ def topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, expanded = stack.pop()
+        node, expanded = pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        key = id(node)
+        if key in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
+        seen.add(key)
+        push((node, True))
         if node._vjp is not None:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+                    push((parent, False))
     return order
 
 
@@ -249,11 +254,21 @@ def no_grad():
         _recording = previous
 
 
+def recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an operation on ``parents`` is recorded: some parent
+    requires a gradient and ``no_grad`` is not active. An operation that
+    keeps values only its backward pass reads can skip them otherwise."""
+    return _recording and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Result of one operation: ``vjp`` maps the result's adjoint to one
-    adjoint per parent (``None`` for none). Recorded only when some
-    parent requires a gradient and ``no_grad`` is not active."""
-    out = Tensor(data)
+    adjoint per parent (``None`` for none). Recorded only when
+    ``recording(parents)``. ``data`` is kept as it is, not copied, so it
+    must be a 2-D float64 array the operation made itself, never a view
+    of an input."""
+    out = Tensor.__new__(Tensor)
+    out._adopt(data, False)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -360,59 +375,144 @@ def hadamard(x: Tensor, y: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Column-vector softmax, stabilized by subtracting the maximum."""
-    if x.cols != 1:
-        raise ShapeError(f"softmax expects a column vector, got {x.shape}")
-    shifted = x.data - x.data.max()
+    """Softmax of each column, stabilized by subtracting the column's
+    maximum: one distribution per column, as the classifier gives one
+    per instance of a batch."""
+    shifted = x.data - x.data.max(axis=0)
     e = np.exp(shifted)
-    out = e / e.sum()
+    out = e / e.sum(axis=0)
 
     def vjp(g: np.ndarray):
-        return (out * (g - float(np.vdot(g, out))),)
+        return (out * (g - (g * out).sum(axis=0)),)
 
     return _make(out, (x,), vjp)
 
 
-def mean_cols(m: Tensor) -> Tensor:
-    """Arithmetic mean across columns.
+# -- segments: a batch of instances side by side ------------------------------
+#
+# A batch of B instances is carried by the same 2-D tensors as one
+# instance: each instance owns a run of consecutive columns (a word
+# matrix) or rows (an attention column), its segment, and a per-instance
+# vector is one column of a B-column matrix. ``lengths`` lists the
+# segment sizes in order; None is a single segment, one instance.
 
-    Computed as ``m @ (1/c, ..., 1/c)^T`` so that a uniform attention
-    read-out over the same matrix reproduces it bitwise.
+
+def segments(total: int, lengths: Sequence[int] | None) -> list[int]:
+    """Segment sizes that split ``total`` columns (or rows), checked:
+    each at least 1, adding up to ``total``. None gives ``[total]``."""
+    sizes = [total] if lengths is None else [int(n) for n in lengths]
+    if not sizes or min(sizes) < 1 or sum(sizes) != total:
+        raise ShapeError(f"segments {sizes} do not split {total} into non-empty parts")
+    return sizes
+
+
+def spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each segment, for slicing."""
+    bounds, start = [], 0
+    for n in lengths:
+        bounds.append((start, start + n))
+        start += n
+    return bounds
+
+
+def _join(parts: list[np.ndarray], axis: int) -> np.ndarray:
+    """Per-segment results side by side. A single one is used as it is:
+    every part is a fresh array its operation made."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def mean_cols(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Arithmetic mean of each segment's columns, one column per segment.
+
+    Computed as ``m_s @ (1/L, ..., 1/L)^T`` per segment, the product
+    ``segment_matvec`` forms, so that a uniform attention read-out over
+    the same segments reproduces it bitwise.
     """
-    c = m.cols
-    if c == 0:
+    if m.cols == 0:
         raise ShapeError("mean_cols over zero columns")
-    weights = np.full((c, 1), 1.0 / c)
-    out = m.data @ weights
+    bounds = spans(segments(m.cols, lengths))
+    out = _join([m.data[:, s:t] @ np.full((t - s, 1), 1.0 / (t - s)) for s, t in bounds], 1)
 
     def vjp(g: np.ndarray):
-        return (np.repeat(g * (1.0 / c), c, axis=1),)
+        return (_join([np.repeat(g[:, j:j + 1] * (1.0 / (t - s)), t - s, axis=1)
+                       for j, (s, t) in enumerate(bounds)], 1),)
 
     return _make(out, (m,), vjp)
 
 
-def broadcast_repeat(v: Tensor, count: int) -> Tensor:
-    """Repeat a column vector ``count`` times into a matrix; backward
-    sums the incoming gradient across columns."""
-    if v.cols != 1:
-        raise ShapeError(f"broadcast_repeat expects a column vector, got {v.shape}")
-    if count < 1:
-        raise ShapeError(f"broadcast_repeat needs count >= 1, got {count}")
-    out = np.repeat(v.data, count, axis=1)
+def segment_matvec(m: Tensor, w: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """For each segment, its columns of ``m`` times its rows of the column
+    ``w``, one output column per segment: with attention weights in
+    ``w``, every instance's read-out ``h a``. Each segment is its own
+    matrix-vector product, as it would be for that instance alone."""
+    if w.cols != 1 or w.rows != m.cols:
+        raise ShapeError(f"segment_matvec needs a {m.cols} x 1 weight column, got {w.shape}")
+    bounds = spans(segments(m.cols, lengths))
+    out = _join([m.data[:, s:t] @ w.data[s:t] for s, t in bounds], 1)
 
     def vjp(g: np.ndarray):
-        return (g.sum(axis=1, keepdims=True),)
+        cols = [g[:, j:j + 1] for j in range(len(bounds))]
+        dm = _join([gj @ w.data[s:t].T for gj, (s, t) in zip(cols, bounds)], 1)
+        dw = _join([m.data[:, s:t].T @ gj for gj, (s, t) in zip(cols, bounds)], 0)
+        return dm, dw
+
+    return _make(out, (m, w), vjp)
+
+
+def segment_softmax(scores: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Softmax within each segment of a 1 x N score row, returned as an
+    N x 1 column: every instance's scores become its own distribution.
+    A segment is stabilized by its own maximum and normalized by its own
+    sum, so no other instance's positions enter it."""
+    if scores.rows != 1:
+        raise ShapeError(f"segment_softmax expects a score row, got {scores.shape}")
+    bounds = spans(segments(scores.cols, lengths))
+    row = scores.data[0]
+    parts = []
+    for s, t in bounds:
+        e = np.exp(row[s:t] - row[s:t].max())
+        parts.append(e / e.sum())
+    out = _join(parts, 0).reshape(-1, 1)
+
+    def vjp(g: np.ndarray):
+        return (_join([out[s:t] * (g[s:t] - np.vdot(g[s:t], out[s:t])) for s, t in bounds],
+                      0).reshape(1, -1),)
+
+    return _make(out, (scores,), vjp)
+
+
+def broadcast_repeat(v: Tensor, counts: int | Sequence[int]) -> Tensor:
+    """Column j of ``v`` repeated ``counts[j]`` times, side by side (an
+    int count repeats a single column): each instance's vector across
+    its segment. Backward sums the incoming gradient over each column's
+    repeats."""
+    if isinstance(counts, int):
+        if v.cols != 1:
+            raise ShapeError(f"broadcast_repeat expects a column vector, got {v.shape}")
+        counts = [counts]
+    if len(counts) != v.cols or min(counts) < 1:
+        raise ShapeError(f"broadcast_repeat needs one count >= 1 per column of "
+                         f"{v.shape}, got {list(counts)}")
+    out = np.repeat(v.data, counts, axis=1)
+    bounds = spans(counts)
+
+    def vjp(g: np.ndarray):
+        return (_join([g[:, s:t].sum(axis=1, keepdims=True) for s, t in bounds], 1),)
 
     return _make(out, (v,), vjp)
 
 
-def transpose(x: Tensor) -> Tensor:
-    out = np.ascontiguousarray(x.data.T)
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """``x`` with the column ``b`` added to each of its columns, a bias
+    shared by every instance of a batch; backward sums ``b``'s gradient
+    over the columns."""
+    if b.shape != (x.rows, 1):
+        raise ShapeError(f"add_bias needs a {x.rows} x 1 bias, got {b.shape}")
 
     def vjp(g: np.ndarray):
-        return (np.ascontiguousarray(g.T),)
+        return g, g.sum(axis=1, keepdims=True)
 
-    return _make(out, (x,), vjp)
+    return _make(x.data + b.data, (x, b), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -442,7 +542,7 @@ def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
     idx = list(indices)
     if len(idx) == 0:
         raise ShapeError("select_columns with no indices")
-    for i in idx:
+    for i in (min(idx), max(idx)):
         if not 0 <= i < m.cols:
             raise ShapeError(f"column index {i} out of range for {m.shape}")
     out = m.data[:, idx]
@@ -464,7 +564,7 @@ def column_block(m: Tensor, start: int, stop: int) -> Tensor:
     dense adjoint costs less than ``select_columns``' compact scatter."""
     if not 0 <= start < stop <= m.cols:
         raise ShapeError(f"column block {start}:{stop} out of range for {m.shape}")
-    out = m.data[:, start:stop]
+    out = m.data[:, start:stop].copy()
 
     def vjp(g: np.ndarray):
         full = np.zeros(m.shape)

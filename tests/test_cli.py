@@ -4,8 +4,9 @@ Commands are driven in-process through ``main(argv)`` so exit codes and
 stdout can be asserted directly. A few subprocess tests cover how the
 program is launched:
 
-* ``test_module_is_runnable`` runs ``python -m nnma.cli``; it needs only
-  ``nnma`` importable (``PYTHONPATH=src`` from a checkout).
+* ``test_module_is_runnable`` runs ``python -m nnma.cli``; the child
+  gets the directory of the ``nnma`` under test on its ``PYTHONPATH``
+  (``child_env``), so it needs nothing installed.
 * ``test_console_script_installed`` checks the ``nnma`` command that
   ``pyproject.toml`` declares under ``[project.scripts]``: the entry point
   must load ``nnma.cli.entry``, and the wrapper an installer generates
@@ -18,6 +19,7 @@ program is launched:
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -33,11 +35,21 @@ from nnma.cli import (
     parse_config_file,
     parse_dims,
 )
+import nnma
 from nnma.corpus import parse_tsv
 from nnma.model import NnmaModel
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def child_env():
+    """Environment for a child Python that imports the ``nnma`` these
+    tests import, with or without an install or ``PYTHONPATH``."""
+    env = dict(os.environ)
+    package_root = str(Path(nnma.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_synth(out_dir, seed=7, n=40):
@@ -553,7 +565,7 @@ class TestPlumbing:
         proc = subprocess.run(
             [sys.executable, "-m", "nnma.cli", "synth", "--seed", "5",
              "--n", "12", "--out", str(tmp_path / "d")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert (tmp_path / "d" / "train.tsv").is_file()
 
@@ -568,7 +580,7 @@ class TestPlumbing:
                    "sys.argv[0] = 'nnma'\n"
                    f"sys.exit({ep.attr}())\n")
         proc = subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: nnma")
 

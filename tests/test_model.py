@@ -84,7 +84,7 @@ class TestForward:
 def fixed_logits_prediction(logits_data):
     """Prediction stand-in carrying hand-picked logits."""
     t = Tensor(logits_data)
-    return Prediction(softmax(t), int(np.argmax(t.data)), None, t)
+    return Prediction(softmax(t), [int(np.argmax(t.data))], None, t)
 
 
 class TestLoss:
@@ -303,7 +303,8 @@ def test_training_tape_size_at_overfit_shape():
 
 def test_training_tape_exact_at_overfit_shape():
     # Exact guard on the same instance: the four LSTM directions are one
-    # recorded operation, read through two column blocks.
+    # recorded operation, read through two column blocks, and each of the
+    # four attention distributions is one segment softmax of its scores.
     data = synth_generate(42, 20)
     inst = data.instances[0]
     model = NnmaModel.create(Vocabulary.from_instances(data.instances),
@@ -313,7 +314,7 @@ def test_training_tape_exact_at_overfit_shape():
                       model.label_index(inst.label))
     tape = topo_order(loss)
     assert (len(inst.arg1), len(inst.arg2)) == (14, 15)
-    assert len(tape) == 107
+    assert len(tape) == 103
     lstm = {id(t) for t in model.enc1.tensors() + model.enc2.tensors()}
     encoders = [n for n in tape if any(id(p) in lstm for p in n._parents)]
     assert len(encoders) == 1

@@ -205,7 +205,7 @@ def test_softmax_gradient():
     assert max_err(analytic_grad(f, x), numeric_grad(f, x)) < 1e-6
 
 
-# -- mean / repeat / transpose ----------------------------------------------------
+# -- mean / repeat ---------------------------------------------------------------
 
 
 def test_mean_cols_identical_columns():
@@ -243,16 +243,114 @@ def test_broadcast_repeat_zero_count():
         T.broadcast_repeat(Tensor([1.0]), 0)
 
 
-def test_transpose_roundtrip_and_gradient():
-    rng = np.random.default_rng(17)
-    x = rand(2, 3, rng)
-    out = T.transpose(x)
-    assert out.shape == (3, 2)
-    f = lambda: T.sum_all(T.matmul(T.transpose(x), Tensor(rng.standard_normal((2, 2)))))
-    x2 = rand(2, 3, np.random.default_rng(18))
-    w = Tensor(np.random.default_rng(19).uniform(-1, 1, (2, 2)))
-    f = lambda: T.sum_all(T.matmul(T.transpose(x2), w))
-    assert max_err(analytic_grad(f, x2), numeric_grad(f, x2)) < 1e-6
+# -- segments: a batch side by side ------------------------------------------------
+
+
+@pytest.mark.parametrize("lengths", [None, [4], [1, 3], [2, 0, 2], [5], []])
+def test_segments_checked(lengths):
+    if lengths in (None, [4], [1, 3]):
+        assert T.segments(4, lengths) == (lengths or [4])
+        assert T.spans(T.segments(4, lengths))[-1][1] == 4
+    else:
+        with pytest.raises(T.ShapeError):
+            T.segments(4, lengths)
+
+
+def test_softmax_is_per_column_and_bitwise_per_column():
+    rng = np.random.default_rng(21)
+    x = rand(4, 3, rng, -5, 5)
+    out = T.softmax(x).data
+    for j in range(3):
+        alone = T.softmax(Tensor(x.data[:, j].copy())).data
+        assert out[:, j:j + 1].tobytes() == alone.tobytes()
+    w = Tensor(rng.uniform(-1, 1, (4, 3)))
+    f = lambda: T.sum_all(T.hadamard(T.softmax(x), w))
+    assert max_err(analytic_grad(f, x), numeric_grad(f, x)) < 1e-6
+
+
+SEGMENTS = [1, 4, 2, 7]
+
+
+def test_segment_softmax_is_each_segment_alone_bitwise():
+    rng = np.random.default_rng(22)
+    row = rand(1, sum(SEGMENTS), rng, -4, 4)
+    out = T.segment_softmax(row, SEGMENTS)
+    assert out.shape == (sum(SEGMENTS), 1)
+    for s, t in T.spans(SEGMENTS):
+        alone = T.softmax(Tensor(row.data[0, s:t].copy())).data
+        assert out.data[s:t].tobytes() == alone.tobytes()
+    assert T.segment_softmax(row).data.tobytes() == T.softmax(
+        Tensor(row.data[0].copy())).data.tobytes()
+
+
+def test_segment_softmax_of_zero_scores_is_exactly_uniform():
+    out = T.segment_softmax(Tensor(np.zeros((1, sum(SEGMENTS)))), SEGMENTS).data
+    for (s, t), n in zip(T.spans(SEGMENTS), SEGMENTS):
+        assert np.array_equal(out[s:t], np.full((n, 1), 1.0 / n))
+
+
+def test_segment_softmax_gradient_and_errors():
+    rng = np.random.default_rng(23)
+    row = rand(1, sum(SEGMENTS), rng)
+    w = Tensor(rng.uniform(-1, 1, (sum(SEGMENTS), 1)))
+    f = lambda: T.sum_all(T.hadamard(T.segment_softmax(row, SEGMENTS), w))
+    assert max_err(analytic_grad(f, row), numeric_grad(f, row)) < 1e-6
+    with pytest.raises(T.ShapeError):
+        T.segment_softmax(Tensor(np.zeros((2, 1))))
+    with pytest.raises(T.ShapeError):
+        T.segment_softmax(row, [1, 2])
+
+
+def test_segment_matvec_is_each_segment_alone_bitwise_with_gradients():
+    rng = np.random.default_rng(24)
+    m = rand(3, sum(SEGMENTS), rng)
+    w = rand(sum(SEGMENTS), 1, rng)
+    out = T.segment_matvec(m, w, SEGMENTS)
+    assert out.shape == (3, len(SEGMENTS))
+    for j, (s, t) in enumerate(T.spans(SEGMENTS)):
+        assert out.data[:, j:j + 1].tobytes() == (m.data[:, s:t] @ w.data[s:t]).tobytes()
+    probe = Tensor(rng.uniform(-1, 1, (3, len(SEGMENTS))))
+    f = lambda: T.sum_all(T.hadamard(T.segment_matvec(m, w, SEGMENTS), probe))
+    for t in (m, w):
+        assert max_err(analytic_grad(f, t), numeric_grad(f, t)) < 1e-7
+    with pytest.raises(T.ShapeError):
+        T.segment_matvec(m, rand(3, 1, rng), SEGMENTS)
+
+
+def test_mean_cols_per_segment_is_each_segment_alone_bitwise():
+    rng = np.random.default_rng(25)
+    m = rand(3, sum(SEGMENTS), rng)
+    out = T.mean_cols(m, SEGMENTS)
+    for j, (s, t) in enumerate(T.spans(SEGMENTS)):
+        alone = T.mean_cols(Tensor(m.data[:, s:t].copy())).data
+        assert out.data[:, j:j + 1].tobytes() == alone.tobytes()
+    probe = Tensor(rng.uniform(-1, 1, (3, len(SEGMENTS))))
+    f = lambda: T.sum_all(T.hadamard(T.mean_cols(m, SEGMENTS), probe))
+    assert max_err(analytic_grad(f, m), numeric_grad(f, m)) < 1e-7
+
+
+def test_broadcast_repeat_per_column_counts():
+    v = Tensor([[1.0, -2.0], [3.0, 0.5]], requires_grad=True)
+    out = T.broadcast_repeat(v, [3, 1])
+    assert np.array_equal(out.data, [[1.0, 1.0, 1.0, -2.0], [3.0, 3.0, 3.0, 0.5]])
+    probe = Tensor([[1.0, 2.0, 4.0, 8.0], [-1.0, 0.0, 1.0, 3.0]])
+    T.sum_all(T.hadamard(out, probe)).backward()
+    assert np.array_equal(v.grad, [[7.0, 8.0], [0.0, 3.0]])
+    for counts in ([3], [3, 0], 2):
+        with pytest.raises(T.ShapeError):
+            T.broadcast_repeat(v, counts)
+
+
+def test_add_bias_values_and_gradient():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor([10.0, -1.0], requires_grad=True)
+    out = T.add_bias(x, b)
+    assert np.array_equal(out.data, [[10.0, 11.0, 12.0], [2.0, 3.0, 4.0]])
+    T.sum_all(T.hadamard(out, Tensor([[1.0, 2.0, 3.0], [0.5, 0.5, -1.0]]))).backward()
+    assert np.array_equal(b.grad, [[6.0], [0.0]])
+    assert np.array_equal(x.grad, [[1.0, 2.0, 3.0], [0.5, 0.5, -1.0]])
+    with pytest.raises(T.ShapeError):
+        T.add_bias(x, Tensor([1.0, 2.0, 3.0]))
 
 
 # -- select_columns ----------------------------------------------------------------
