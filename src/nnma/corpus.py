@@ -205,7 +205,9 @@ def synth_generate(seed: int, n: int, vocab_size: int = 32,
                 if other != label
                 and not (side == 2 and cue_token(other, 1) in args[0])
             ]
-            pool = fillers + eligible
+            # One draw over fillers followed by eligible cues, indexed
+            # without building that joined pool.
+            pool_size = n_filler + len(eligible)
             length = lo + rng.below(hi - lo + 1)
             cue_at = rng.below(length)
             tokens = []
@@ -213,7 +215,8 @@ def synth_generate(seed: int, n: int, vocab_size: int = 32,
                 if pos == cue_at:
                     tokens.append(cue_token(label, side))
                 else:
-                    tokens.append(pool[rng.below(len(pool))])
+                    j = rng.below(pool_size)
+                    tokens.append(fillers[j] if j < n_filler else eligible[j - n_filler])
             args.append(tokens)
         instances.append(Instance(label, args[0], args[1]))
     return Dataset(instances, f"synth-{seed}")

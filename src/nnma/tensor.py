@@ -538,7 +538,9 @@ def scale(x: Tensor, factor: float) -> Tensor:
 def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather columns by index; backward scatter-adds into a compact
     ``ColumnGrad`` over the distinct columns, so a column selected twice
-    accumulates both contributions and no dense adjoint is built."""
+    accumulates both contributions and no dense adjoint is built. When no
+    column repeats, the block is ``g``'s columns in sorted index order,
+    taken without the scatter-add."""
     idx = list(indices)
     if len(idx) == 0:
         raise ShapeError("select_columns with no indices")
@@ -549,9 +551,12 @@ def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
 
     def vjp(g: np.ndarray):
         cols = sorted(set(idx))
-        where = {c: j for j, c in enumerate(cols)}
-        block = np.zeros((m.rows, len(cols)))
-        np.add.at(block, (slice(None), [where[i] for i in idx]), g)
+        if len(cols) == len(idx):
+            block = g[:, np.argsort(idx)]
+        else:
+            where = {c: j for j, c in enumerate(cols)}
+            block = np.zeros((m.rows, len(cols)))
+            np.add.at(block, (slice(None), [where[i] for i in idx]), g)
         return (ColumnGrad(m.shape, [(cols, block)]),)
 
     return _make(out, (m,), vjp)

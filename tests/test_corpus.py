@@ -1,3 +1,4 @@
+import hashlib
 import io
 from collections import Counter
 
@@ -223,6 +224,21 @@ class TestSynthGenerate:
         assert reparsed.instances == ds.instances
         assert reparsed.label_inventory() == [
             "Comparison", "Contingency", "Expansion", "Temporal"]
+
+    @pytest.mark.parametrize("kwargs, n, want", [
+        ({"vocab_size": 20000, "len_range": (26, 34)}, 1000,
+         "411fe7fb2cab87c8f9c31ce88d84117bdb29c1abff0d624f0b448979ea5f55e1"),
+        ({}, 400, "947ad045fec0bc6cd91e2f3389a5462a58621855bc58617a7a03e8bae6e6204e"),
+    ])
+    def test_corpus_pinned(self, kwargs, n, want):
+        # sha256 over every (label, arg1, arg2), one tab-separated line
+        # each, at the paper shape and at the default shape. Any change to
+        # the draws or to how they pick tokens moves it.
+        h = hashlib.sha256()
+        for inst in synth_generate(1207, n, **kwargs).instances:
+            line = "\t".join([inst.label, " ".join(inst.arg1), " ".join(inst.arg2)])
+            h.update(line.encode() + b"\n")
+        assert h.hexdigest() == want
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -365,6 +365,27 @@ def test_select_columns_values_and_scatter():
     assert np.array_equal(m.grad, [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
 
 
+@pytest.mark.parametrize("idx", [[4, 0, 7, 2], [4, 0, 4, 2, 0]])
+def test_select_columns_block_is_the_add_at_scatter(idx):
+    # Distinct indices take the block straight from g; repeated ones keep
+    # np.add.at. Either way the block and its dense form match the scatter
+    # into zeros; a -0.0 in g becomes +0.0 once added to zeros.
+    rng = np.random.default_rng(14)
+    m = rand(3, 8, rng)
+    g = rng.uniform(-1, 1, (3, len(idx)))
+    g[1, 1] = -0.0
+    (grad,) = T.select_columns(m, idx)._vjp(g)
+    cols = sorted(set(idx))
+    want = np.zeros((3, len(cols)))
+    np.add.at(want, (slice(None), [cols.index(i) for i in idx]), g)
+    [(got_cols, block)] = grad.parts
+    assert got_cols == cols
+    assert np.array_equal(block, want)
+    dense = np.zeros((3, 8))
+    dense[:, cols] += want
+    assert grad.dense().tobytes() == dense.tobytes()
+
+
 def test_select_columns_out_of_range():
     with pytest.raises(T.ShapeError):
         T.select_columns(Tensor(np.zeros((2, 2))), [2])
