@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -82,11 +83,30 @@ _HP_KEYS = {
 _PATH_KEYS = {"data_dir", "output_dir", "embeddings_path"}
 
 
+@contextmanager
+def utf8_text(path: Path, error: type[Exception]):
+    """``path`` opened as UTF-8 text. A byte sequence that is not UTF-8
+    raises ``error``, naming the path and the line it is on."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        raise
+
+
 def parse_config_file(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    with utf8_text(path, ConfigError) as fh:
+        text = fh.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -153,7 +173,7 @@ def load_split(data_dir: Path, name: str) -> Dataset:
     path = data_dir / f"{name}.tsv"
     if not path.is_file():
         raise ConfigError(f"missing data file: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path, CorpusError) as fh:
         return parse_tsv(fh, name)
 
 
@@ -188,7 +208,7 @@ def cmd_train(args) -> int:
     rng = Rng(hp.seed)
     vocab = Vocabulary.from_instances(train.instances)
     if config.embeddings_path is not None:
-        with open(config.embeddings_path, encoding="utf-8") as fh:
+        with utf8_text(config.embeddings_path, ConfigError) as fh:
             loaded = load_pretrained(fh, hp.d_e, vocab, rng)
         embeddings = loaded.matrix
         print(f"embeddings: {loaded.loaded} from file, {loaded.missing} random, "
@@ -416,7 +436,7 @@ def load_model(path: Path) -> NnmaModel:
 def open_data(path: Path):
     if not path.is_file():
         raise ConfigError(f"data file not found: {path}")
-    return open(path, encoding="utf-8")
+    return utf8_text(path, CorpusError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -172,38 +172,46 @@ def attention_kl_report(model, ds: Dataset, flipped: bool = False) -> KlReport:
     return kl_report(attention_traces(model, ds.instances), flipped)
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``kl_divergence`` of each row of ``p`` against the same row of
+    ``q``, for rows already checked to be distributions."""
+    support = p > 0.0
+    if np.any(support & (q <= 0.0)):
+        raise ValueError("q has a zero entry where p does not")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(support, p * np.log(p / q), 0.0).sum(axis=1)
+
+
 def kl_report(traces: Sequence[AttentionTrace], flipped: bool = False) -> KlReport:
-    """``attention_kl_report`` over one trace per instance."""
+    """``attention_kl_report`` over one trace per instance. Each
+    instance's values come from its levels' distributions as the rows of
+    one array, checked once, so they agree with ``kl_divergence`` per
+    pair up to the order of summation."""
     k = len(traces[0].levels)
     pair_keys = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    sums = {side: {"pairs": {key: 0.0 for key in pair_keys},
-                   "uniform": {i: 0.0 for i in range(1, k + 1)}}
-            for side in (1, 2)}
+    first = [i - 1 for i, _ in pair_keys]
+    second = [j - 1 for _, j in pair_keys]
+    sums = {side: [np.zeros(len(pair_keys)), np.zeros(k)] for side in (1, 2)}
 
     for trace in traces:
         for side in (1, 2):
-            dists = [
-                (lv.a1 if side == 1 else lv.a2).data.reshape(-1)
-                for lv in trace.levels
-            ]
-            for (i, j) in pair_keys:
-                a, b = dists[i - 1], dists[j - 1]
-                value = kl_divergence(b, a) if flipped else kl_divergence(a, b)
-                sums[side]["pairs"][(i, j)] += value
-            length = dists[0].size
-            uni = np.full(length, 1.0 / length)
-            for i in range(1, k + 1):
-                value = (kl_divergence(dists[i - 1], uni) if flipped
-                         else kl_divergence(uni, dists[i - 1]))
-                sums[side]["uniform"][i] += value
+            P = np.stack([(lv.a1 if side == 1 else lv.a2).data.reshape(-1)
+                          for lv in trace.levels])
+            totals = P.sum(axis=1)
+            if np.any(np.abs(totals - 1.0) > 1e-6):
+                raise ValueError(f"arg{side} attention sums to {totals.tolist()}, "
+                                 f"not a distribution")
+            if np.any(P < 0.0):
+                raise ValueError(f"arg{side} attention has negative entries")
+            uni = np.full(P.shape, 1.0 / P.shape[1])
+            a, b = P[first], P[second]
+            sums[side][0] += _kl_rows(b, a) if flipped else _kl_rows(a, b)
+            sums[side][1] += _kl_rows(P, uni) if flipped else _kl_rows(uni, P)
 
     count = len(traces)
-    sides = []
-    for side in (1, 2):
-        sides.append(SideKl(
-            {key: total / count for key, total in sums[side]["pairs"].items()},
-            {i: total / count for i, total in sums[side]["uniform"].items()},
-        ))
+    sides = [SideKl({key: float(total / count) for key, total in zip(pair_keys, pairs)},
+                    {i: float(total / count) for i, total in enumerate(uniform, start=1)})
+             for pairs, uniform in (sums[1], sums[2])]
     return KlReport(sides[0], sides[1], k, count, flipped)
 
 

@@ -44,7 +44,7 @@ from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from .recurrent import BiLstmParams, LstmParams, encode_pair, xavier_uniform
 from .rng import Rng
-from .tensor import Tensor, add_bias, concat, nll_from_logits, no_grad, scale, softmax
+from .tensor import ShapeError, Tensor, _make, nll_from_logits, no_grad, scale, softmax
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
@@ -65,6 +65,35 @@ def parameter_shapes(d_e: int, d: int, d_m: int, k: int, n: int,
     for level in range(1, k + 1):
         shapes += [(d_m, memory_input_width(level, d, d_m))] + arg_side * 2
     return shapes + [(n, 6 * d), (n, 1)]
+
+
+def classify(final: Tensor, w_p: Tensor, b_p: Tensor,
+             dropout_mask: Tensor | None = None) -> Tensor:
+    """Logits W_p (f * mask) + b_p of the feature f = [R1; R2; R1 - R2]
+    of each column of ``final`` = [R1; R2], as one recorded operation.
+    Its backward pass takes the products in the order and operand layout
+    the per-product graph (concat, sub, hadamard, matmul, add_bias) did,
+    so gradients are the same bits."""
+    n = final.rows // 2
+    if final.rows % 2 or w_p.cols != 3 * n or b_p.shape != (w_p.rows, 1):
+        raise ShapeError(f"classifier {w_p.shape} + {b_p.shape} does not fit "
+                         f"features of {final.rows} rows")
+    R = final.data
+    feature = np.concatenate([R, R[:n] - R[n:]])
+    if dropout_mask is not None:
+        if dropout_mask.shape != feature.shape:
+            raise ShapeError(f"dropout mask {dropout_mask.shape} for features {feature.shape}")
+        feature = feature * dropout_mask.data
+
+    def vjp(g: np.ndarray):
+        dF = w_p.data.T @ g
+        if dropout_mask is not None:
+            dF = dF * dropout_mask.data
+        dD = dF[2 * n:]
+        dR = np.concatenate([dF[:n] + dD, dF[n:2 * n] - dD])
+        return dR, g @ feature.T, g.sum(axis=1, keepdims=True)
+
+    return _make(w_p.data @ feature + b_p.data, (final, w_p, b_p), vjp)
 
 
 @dataclass
@@ -196,11 +225,7 @@ class NnmaModel:
                             self.vocab, self.embeddings)
         h1, h2 = encode_pair(x1, x2, self.enc1, self.enc2, lengths1, lengths2)
         trace = run_stack(h1, h2, self.levels, lengths1=lengths1, lengths2=lengths2)
-        feature = concat([trace.final_r1, trace.final_r2,
-                          trace.final_r1 - trace.final_r2])
-        if dropout_mask is not None:
-            feature = feature * dropout_mask
-        logits = add_bias(self.w_p @ feature, self.b_p)
+        logits = classify(trace.final, self.w_p, self.b_p, dropout_mask)
         probabilities = softmax(logits)
         predicted = np.argmax(probabilities.data, axis=0).tolist()
         return Prediction(probabilities, predicted, trace, logits)
@@ -279,9 +304,13 @@ class NnmaModel:
         if len(raw) != 8:
             raise CheckpointError("truncated checkpoint: missing header length")
         header_len = int(np.frombuffer(raw, dtype="<u8")[0])
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        left = cls._bytes_left(fh)
+        if header_len > left:
+            raise CheckpointError(f"truncated checkpoint: header length {header_len} "
+                                  f"exceeds the {left} bytes left")
         blob = fh.read(header_len)
-        if len(blob) != header_len:
-            raise CheckpointError("truncated checkpoint: incomplete header")
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -317,11 +346,7 @@ class NnmaModel:
         shapes = parameter_shapes(dims["d_e"], dims["d"], dims["d_m"], dims["k"],
                                   dims["n"], dims["v"])
         expected = 8 * sum(rows * cols for rows, cols in shapes)
-        if not fh.seekable():
-            fh = io.BytesIO(fh.read())
-        start = fh.tell()
-        left = fh.seek(0, io.SEEK_END) - start
-        fh.seek(start)
+        left = cls._bytes_left(fh)
         if left < expected:
             raise CheckpointError(f"truncated checkpoint: {left} payload bytes, "
                                   f"the header implies {expected}")
@@ -335,6 +360,14 @@ class NnmaModel:
             data = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
             tensors.append(Tensor(data, requires_grad=True))
         return cls._assemble(vocab, labels, dims["k"], tensors)
+
+    @staticmethod
+    def _bytes_left(fh: IO[bytes]) -> int:
+        """Bytes from the position of a seekable stream to its end."""
+        start = fh.tell()
+        left = fh.seek(0, io.SEEK_END) - start
+        fh.seek(start)
+        return left
 
     @classmethod
     def _assemble(cls, vocab: Vocabulary, label_names: list[str], k: int,

@@ -1,8 +1,11 @@
 """Dense 2-D tensors with reverse-mode automatic differentiation.
 
 Every value is a double-precision matrix; vectors are single-column
-matrices, so the whole model reduces to matrix products, concatenation
-and elementwise maps. Each operation records its inputs and a
+matrices. The model's layers are a few large operations, each made by
+``_make`` from a numpy forward pass and a hand-written backward pass
+(the encoders, the attention stack, the classifier); this module holds
+the engine and the small operations around them (lookup, softmax, loss).
+Each operation records its inputs and a
 vector-Jacobian product (except inside ``no_grad()``, for forward
 passes that no backward pass will use), and ``backward()`` on a 1x1
 result walks the recorded graph once in reverse topological order,
@@ -114,17 +117,8 @@ class Tensor:
 
     # -- operator sugar --------------------------------------------------------
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return hadamard(self, other)
 
     # -- backward --------------------------------------------------------------
 
@@ -279,99 +273,14 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 # -- primitive operations -----------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(g: np.ndarray):
-        return g @ b.data.T, a.data.T @ g
-
-    return _make(out, (a, b), vjp)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Stack parts vertically; column vectors concatenate into one."""
-    if len(parts) == 0:
-        raise ShapeError("concat of an empty list")
-    cols = parts[0].cols
-    for p in parts[1:]:
-        if p.cols != cols:
-            raise ShapeError(f"concat column mismatch: {p.cols} vs {cols}")
-    out = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def vjp(g: np.ndarray):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _make(out, tuple(parts), vjp)
-
-
-def hstack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack parts horizontally (used to assemble per-word columns)."""
-    if len(parts) == 0:
-        raise ShapeError("hstack of an empty list")
-    rows = parts[0].rows
-    for p in parts[1:]:
-        if p.rows != rows:
-            raise ShapeError(f"hstack row mismatch: {p.rows} vs {rows}")
-    out = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.cols for p in parts])
-
-    def vjp(g: np.ndarray):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _make(out, tuple(parts), vjp)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
-
-    def vjp(g: np.ndarray):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (x,), vjp)
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def vjp(g: np.ndarray):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (x,), vjp)
-
-
-def _require_same_shape(x: Tensor, y: Tensor, op: str) -> None:
-    if x.shape != y.shape:
-        raise ShapeError(f"{op} shape mismatch: {x.shape} vs {y.shape}")
-
-
 def add(x: Tensor, y: Tensor) -> Tensor:
-    _require_same_shape(x, y, "add")
+    if x.shape != y.shape:
+        raise ShapeError(f"add shape mismatch: {x.shape} vs {y.shape}")
 
     def vjp(g: np.ndarray):
         return g, g
 
     return _make(x.data + y.data, (x, y), vjp)
-
-
-def sub(x: Tensor, y: Tensor) -> Tensor:
-    _require_same_shape(x, y, "sub")
-
-    def vjp(g: np.ndarray):
-        return g, -g
-
-    return _make(x.data - y.data, (x, y), vjp)
-
-
-def hadamard(x: Tensor, y: Tensor) -> Tensor:
-    _require_same_shape(x, y, "hadamard")
-
-    def vjp(g: np.ndarray):
-        return g * y.data, g * x.data
-
-    return _make(x.data * y.data, (x, y), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -415,114 +324,7 @@ def spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
     return bounds
 
 
-def _join(parts: list[np.ndarray], axis: int) -> np.ndarray:
-    """Per-segment results side by side. A single one is used as it is:
-    every part is a fresh array its operation made."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-
-
-def mean_cols(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
-    """Arithmetic mean of each segment's columns, one column per segment.
-
-    Computed as ``m_s @ (1/L, ..., 1/L)^T`` per segment, the product
-    ``segment_matvec`` forms, so that a uniform attention read-out over
-    the same segments reproduces it bitwise.
-    """
-    if m.cols == 0:
-        raise ShapeError("mean_cols over zero columns")
-    bounds = spans(segments(m.cols, lengths))
-    out = _join([m.data[:, s:t] @ np.full((t - s, 1), 1.0 / (t - s)) for s, t in bounds], 1)
-
-    def vjp(g: np.ndarray):
-        return (_join([np.repeat(g[:, j:j + 1] * (1.0 / (t - s)), t - s, axis=1)
-                       for j, (s, t) in enumerate(bounds)], 1),)
-
-    return _make(out, (m,), vjp)
-
-
-def segment_matvec(m: Tensor, w: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
-    """For each segment, its columns of ``m`` times its rows of the column
-    ``w``, one output column per segment: with attention weights in
-    ``w``, every instance's read-out ``h a``. Each segment is its own
-    matrix-vector product, as it would be for that instance alone."""
-    if w.cols != 1 or w.rows != m.cols:
-        raise ShapeError(f"segment_matvec needs a {m.cols} x 1 weight column, got {w.shape}")
-    bounds = spans(segments(m.cols, lengths))
-    out = _join([m.data[:, s:t] @ w.data[s:t] for s, t in bounds], 1)
-
-    def vjp(g: np.ndarray):
-        cols = [g[:, j:j + 1] for j in range(len(bounds))]
-        dm = _join([gj @ w.data[s:t].T for gj, (s, t) in zip(cols, bounds)], 1)
-        dw = _join([m.data[:, s:t].T @ gj for gj, (s, t) in zip(cols, bounds)], 0)
-        return dm, dw
-
-    return _make(out, (m, w), vjp)
-
-
-def segment_softmax(scores: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
-    """Softmax within each segment of a 1 x N score row, returned as an
-    N x 1 column: every instance's scores become its own distribution.
-    A segment is stabilized by its own maximum and normalized by its own
-    sum, so no other instance's positions enter it."""
-    if scores.rows != 1:
-        raise ShapeError(f"segment_softmax expects a score row, got {scores.shape}")
-    bounds = spans(segments(scores.cols, lengths))
-    row = scores.data[0]
-    parts = []
-    for s, t in bounds:
-        e = np.exp(row[s:t] - row[s:t].max())
-        parts.append(e / e.sum())
-    out = _join(parts, 0).reshape(-1, 1)
-
-    def vjp(g: np.ndarray):
-        return (_join([out[s:t] * (g[s:t] - np.vdot(g[s:t], out[s:t])) for s, t in bounds],
-                      0).reshape(1, -1),)
-
-    return _make(out, (scores,), vjp)
-
-
-def broadcast_repeat(v: Tensor, counts: int | Sequence[int]) -> Tensor:
-    """Column j of ``v`` repeated ``counts[j]`` times, side by side (an
-    int count repeats a single column): each instance's vector across
-    its segment. Backward sums the incoming gradient over each column's
-    repeats."""
-    if isinstance(counts, int):
-        if v.cols != 1:
-            raise ShapeError(f"broadcast_repeat expects a column vector, got {v.shape}")
-        counts = [counts]
-    if len(counts) != v.cols or min(counts) < 1:
-        raise ShapeError(f"broadcast_repeat needs one count >= 1 per column of "
-                         f"{v.shape}, got {list(counts)}")
-    out = np.repeat(v.data, counts, axis=1)
-    bounds = spans(counts)
-
-    def vjp(g: np.ndarray):
-        return (_join([g[:, s:t].sum(axis=1, keepdims=True) for s, t in bounds], 1),)
-
-    return _make(out, (v,), vjp)
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """``x`` with the column ``b`` added to each of its columns, a bias
-    shared by every instance of a batch; backward sums ``b``'s gradient
-    over the columns."""
-    if b.shape != (x.rows, 1):
-        raise ShapeError(f"add_bias needs a {x.rows} x 1 bias, got {b.shape}")
-
-    def vjp(g: np.ndarray):
-        return g, g.sum(axis=1, keepdims=True)
-
-    return _make(x.data + b.data, (x, b), vjp)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of every entry, as a 1x1 scalar."""
-    out = np.array([[x.data.sum()]])
-
-    def vjp(g: np.ndarray):
-        return (np.full(x.shape, g[0, 0]),)
-
-    return _make(out, (x,), vjp)
+# -- lookups and the loss -------------------------------------------------------
 
 
 def scale(x: Tensor, factor: float) -> Tensor:

@@ -5,15 +5,12 @@ from nnma.attention import (
     ArgAttentionParams,
     AttentionLevelParams,
     GeneralRepr,
-    attend,
-    general_repr,
-    memory_first,
     memory_input_width,
-    memory_next,
     run_stack,
 )
 from nnma.rng import Rng
-from nnma.tensor import Tensor, grad_check, mean_cols, sum_all
+from nnma.tensor import Tensor, grad_check
+from per_op import attend, general_repr, mean_cols, memory_first, memory_next, sum_all
 
 
 def rand_matrix(rows, cols, seed, requires_grad=False):
@@ -282,6 +279,6 @@ class TestRunStack:
 
         def loss():
             trace = run_stack(h1, h2, params)
-            return sum_all(trace.final_r1) + sum_all(trace.final_r2)
+            return sum_all(trace.final)
 
         assert grad_check(loss, tensors) < 1e-4

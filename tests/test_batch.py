@@ -15,8 +15,9 @@ from nnma.metrics import attention_kl_report, evaluate
 from nnma.model import CHUNK, NnmaModel
 from nnma.recurrent import BiLstmParams, encode_pair
 from nnma.rng import Rng
-from nnma.tensor import Tensor, grad_check, hadamard, no_grad, spans, sum_all, topo_order
+from nnma.tensor import Tensor, grad_check, no_grad, spans, topo_order
 from nnma.trainer import Hyperparams, MomentumSgd, train_step
+from per_op import hadamard, sum_all
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 WORDS = [f"w{i}" for i in range(12)]
@@ -175,18 +176,27 @@ def test_batched_encoder_reads_each_instance_alone():
 N = 2 * CHUNK + 5
 
 
-@pytest.fixture
-def encoder_ops(monkeypatch):
-    """Counts the model's calls of the encoder operation."""
+def count_calls(monkeypatch, name):
+    """Counts the model's calls of the operation ``name``."""
     calls = []
-    real = model_module.encode_pair
+    real = getattr(model_module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(model_module, "encode_pair", counting)
+    monkeypatch.setattr(model_module, name, counting)
     return calls
+
+
+@pytest.fixture
+def encoder_ops(monkeypatch):
+    return count_calls(monkeypatch, "encode_pair")
+
+
+@pytest.fixture
+def stack_ops(monkeypatch):
+    return count_calls(monkeypatch, "run_stack")
 
 
 def large_dataset():
@@ -198,6 +208,11 @@ def large_dataset():
 def test_evaluate_records_one_encoder_op_per_chunk(encoder_ops):
     evaluate(make_model(2, seed=8), large_dataset())
     assert len(encoder_ops) == math.ceil(N / CHUNK)
+
+
+def test_evaluate_records_one_stack_op_per_chunk(stack_ops):
+    evaluate(make_model(2, seed=8), large_dataset())
+    assert len(stack_ops) == math.ceil(N / CHUNK)
 
 
 def test_kl_report_records_one_encoder_op_per_chunk(encoder_ops):
@@ -269,7 +284,9 @@ def test_train_step_results_alias_nothing():
     model.loss = keeping_loss
     train_step(model, inst, 1, 1.0, opt_net, opt_emb, Tensor(np.ones((18, 1))))
     tape = topo_order(losses[0])
-    assert sum(node._vjp is not None for node in tape) > 50
+    # Two lookups, the encoder operation and its two column blocks, the
+    # attention stack, the classifier, the loss and its weight.
+    assert sum(node._vjp is not None for node in tape) == 9
     assert_no_aliasing(tape, model.parameters())
 
 

@@ -1,0 +1,38 @@
+"""The benchmark runs against this checkout and passes its own checks.
+
+One short overfit run untraced and one traced, each in a child process
+as the benchmark is run (``python3 bench/run.py``). A change that breaks
+an interface the benchmark or its tracer uses fails here.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def bench(trace: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "overfit", "--seed", "3",
+         "--seconds", "1", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=600, cwd=RUN.parents[1])
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+    return result["metrics"]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_overfit_run_is_correct(trace):
+    metrics = bench(trace)
+    if trace:
+        assert metrics["attention.stack_ms"]["value"] > 0
+        assert metrics["trainer.train_step_ms"]["value"] > 0
+    else:
+        assert metrics["train_rate"]["value"] > 0

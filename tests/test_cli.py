@@ -430,6 +430,17 @@ class TestEval:
         assert "k0.ckpt" in err and "header k" in err
 
 
+    def test_header_length_past_the_end_exits_2(self, workspace, tmp_path, capsys):
+        blob = (workspace / "out" / "model.ckpt").read_bytes()
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(blob[:8] + (2 ** 62).to_bytes(8, "little") + blob[16:])
+        assert main(["eval", "--model", str(bad),
+                     "--data", str(workspace / "data" / "test.tsv"),
+                     "--task", "four"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "huge.ckpt" in err and "header length" in err
+
+
 class TestAnalyze:
     def test_default_outputs(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "analysis"
@@ -503,6 +514,53 @@ class TestAnalyze:
                      "--ids", "0", "--out", str(out_dir)]) == 0
         rows = (out_dir / "heatmap_0.csv").read_text().splitlines()
         assert len(rows) == 2 * 2  # levels x arguments
+
+
+def with_bad_byte(src, dst, line):
+    """A copy of ``src`` with a 0xff byte, never valid UTF-8, at the start
+    of line ``line`` (1-based)."""
+    lines = src.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+class TestNonUtf8Input:
+    def assert_named_error(self, capsys, path, line):
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{path}:{line}: not UTF-8 text" in err
+
+    def test_config_file_exits_2(self, tmp_path, capsys):
+        assert run_synth(tmp_path / "data") == 0
+        cfg = with_bad_byte(write_config(tmp_path / "good.cfg"), tmp_path / "c.cfg", 4)
+        assert main(["train", "--config", str(cfg)]) == 2
+        self.assert_named_error(capsys, cfg, 4)
+
+    def test_training_split_exits_2(self, tmp_path, capsys):
+        assert run_synth(tmp_path / "data") == 0
+        train = tmp_path / "data" / "train.tsv"
+        with_bad_byte(train, train, 3)
+        cfg = write_config(tmp_path / "c.cfg")
+        assert main(["train", "--config", str(cfg)]) == 2
+        self.assert_named_error(capsys, train.resolve(), 3)
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_data_file_exits_2(self, workspace, tmp_path, capsys, command):
+        data = with_bad_byte(workspace / "data" / "test.tsv", tmp_path / "d.tsv", 2)
+        extra = ["--task", "four"] if command == "eval" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--model", str(workspace / "out" / "model.ckpt"),
+                     "--data", str(data)] + extra) == 2
+        self.assert_named_error(capsys, data, 2)
+
+    def test_embeddings_file_exits_2(self, tmp_path, capsys):
+        assert run_synth(tmp_path / "data") == 0
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"w1 " + b"0.5 " * 5 + b"0.5\nw2 0.\xff 1\n")
+        cfg = write_config(tmp_path / "c.cfg", embeddings_path="vectors.txt")
+        assert main(["train", "--config", str(cfg)]) == 2
+        self.assert_named_error(capsys, vectors, 2)
+        assert not (tmp_path / "out").exists()
 
 
 class TestGradcheck:

@@ -11,7 +11,7 @@ from nnma.embeddings import (
     normalize_token,
 )
 from nnma.rng import Rng
-from nnma.tensor import sum_all
+from per_op import sum_all
 
 
 def make_vocab(*tokens):

@@ -10,11 +10,13 @@ from nnma.metrics import (
     ConfusionCounts,
     KlReport,
     attention_kl_report,
+    attention_traces,
     evaluate,
     heat_color,
     heatmap_csv,
     heatmap_ppm,
     kl_divergence,
+    kl_report,
     macro_f1,
     render_kl_report,
 )
@@ -209,6 +211,46 @@ class TestAttentionKlReport:
                     uni = np.full(a_i.size, 1.0 / a_i.size)
                     total += kl(uni, a_i)
                 assert reported == pytest.approx(total / len(ds), abs=1e-10)
+
+    @pytest.mark.parametrize("k, flipped", [(2, False), (2, True), (3, False), (3, True)])
+    def test_matches_per_pair_kl_divergence(self, k, flipped):
+        # The report's per-instance arrays against the scalar oracle, pair
+        # by pair, summed per instance in dataset order as before.
+        model = tiny_model(seed=10 + k, k=k)
+        rng = np.random.default_rng(k)
+        words = [f"t{i}" for i in range(7)]
+        lengths = [(1, 40), (40, 1), (1, 1)] + [tuple(rng.integers(1, 30, 2)) for _ in range(20)]
+        instances = [Instance(LABELS[0], list(rng.choice(words, n1)), list(rng.choice(words, n2)))
+                     for n1, n2 in lengths]
+        traces = attention_traces(model, instances)
+        report = kl_report(traces, flipped)
+        for side_name, side in (("a1", report.arg1), ("a2", report.arg2)):
+            pairs = {key: 0.0 for key in side.pairs}
+            uniform = {i: 0.0 for i in side.uniform}
+            for trace in traces:
+                dists = [getattr(lv, side_name).data.reshape(-1) for lv in trace.levels]
+                uni = np.full(dists[0].size, 1.0 / dists[0].size)
+                for i, j in pairs:
+                    a, b = dists[i - 1], dists[j - 1]
+                    pairs[(i, j)] += kl_divergence(b, a) if flipped else kl_divergence(a, b)
+                for i in uniform:
+                    a = dists[i - 1]
+                    uniform[i] += kl_divergence(a, uni) if flipped else kl_divergence(uni, a)
+            for key, total in pairs.items():
+                assert side.pairs[key] == pytest.approx(total / len(traces), rel=1e-12, abs=0)
+            for i, total in uniform.items():
+                assert side.uniform[i] == pytest.approx(total / len(traces), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("column, match", [
+        ([0.5, 0.5, 0.5, 0.5], "not a distribution"),
+        ([-0.25, 0.75, 0.25, 0.25], "negative"),
+        ([0.0, 0.5, 0.25, 0.25], "zero entry"),
+    ])
+    def test_each_distribution_is_checked(self, column, match):
+        traces = attention_traces(tiny_model(seed=12), tiny_dataset().instances)
+        traces[1].levels[1].a2.data[:, 0] = column  # the second level, 4 words
+        with pytest.raises(ValueError, match=match):
+            kl_report(traces)
 
     def test_flip_reverses_direction(self):
         model = tiny_model(seed=6, k=2)

@@ -258,6 +258,15 @@ class TestHeaderValidation:
         with pytest.raises(CheckpointError, match=match):
             NnmaModel.load(with_header(tiny_model(), **changes))
 
+    @pytest.mark.parametrize("header_len", [2 ** 62, 10 ** 9, 2 ** 64 - 1])
+    def test_header_length_past_the_end_rejected(self, header_len):
+        buf = io.BytesIO()
+        tiny_model().save(buf)
+        blob = buf.getvalue()
+        bad = blob[:8] + header_len.to_bytes(8, "little") + blob[16:]
+        with pytest.raises(CheckpointError, match="header length"):
+            NnmaModel.load(io.BytesIO(bad))
+
     def test_non_object_header_rejected(self):
         text = b"[]"
         blob = b"NNMA" + (1).to_bytes(4, "little") + len(text).to_bytes(8, "little") + text
@@ -303,8 +312,10 @@ def test_training_tape_size_at_overfit_shape():
 
 def test_training_tape_exact_at_overfit_shape():
     # Exact guard on the same instance: the four LSTM directions are one
-    # recorded operation, read through two column blocks, and each of the
-    # four attention distributions is one segment softmax of its scores.
+    # recorded operation, read through two column blocks; the attention
+    # stack is one operation over both levels and the classifier another.
+    # 9 operations (two lookups, encoder, two blocks, stack, classifier,
+    # loss, weight) and 49 parameters.
     data = synth_generate(42, 20)
     inst = data.instances[0]
     model = NnmaModel.create(Vocabulary.from_instances(data.instances),
@@ -314,7 +325,12 @@ def test_training_tape_exact_at_overfit_shape():
                       model.label_index(inst.label))
     tape = topo_order(loss)
     assert (len(inst.arg1), len(inst.arg2)) == (14, 15)
-    assert len(tape) == 103
-    lstm = {id(t) for t in model.enc1.tensors() + model.enc2.tensors()}
-    encoders = [n for n in tape if any(id(p) in lstm for p in n._parents)]
-    assert len(encoders) == 1
+    assert len(tape) == 58
+    groups = [model.enc1.tensors() + model.enc2.tensors(),
+              [t for level in model.levels for t in level.tensors()],
+              [model.w_p, model.b_p]]
+    for params in groups:
+        ids = {id(t) for t in params}
+        readers = [n for n in tape if any(id(p) in ids for p in n._parents)]
+        assert len(readers) == 1
+        assert {id(p) for p in readers[0]._parents} >= ids

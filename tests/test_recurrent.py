@@ -5,9 +5,8 @@ import pytest
 
 from nnma.recurrent import BiLstmParams, LstmParams, encode_pair
 from nnma.rng import Rng
-from nnma.tensor import (ShapeError, Tensor, _make, add, concat, grad_check,
-                         hadamard, hstack, select_columns, sigmoid, sum_all,
-                         tanh, topo_order)
+from nnma.tensor import ShapeError, Tensor, _make, add, grad_check, select_columns, topo_order
+from per_op import concat, hadamard, hstack, matmul, sigmoid, sum_all, tanh
 
 
 def lstm_step(x, h_prev, c_prev, p):
@@ -16,12 +15,12 @@ def lstm_step(x, h_prev, c_prev, p):
     The gate input is the stacked vector [x; h_prev], in that order.
     """
     z = concat([x, h_prev])
-    i = sigmoid(p.W_i @ z + p.b_i)
-    f = sigmoid(p.W_f @ z + p.b_f)
-    o = sigmoid(p.W_o @ z + p.b_o)
-    c_hat = tanh(p.W_c @ z + p.b_c)
-    c = i * c_hat + f * c_prev
-    h = o * tanh(c)
+    i = sigmoid(matmul(p.W_i, z) + p.b_i)
+    f = sigmoid(matmul(p.W_f, z) + p.b_f)
+    o = sigmoid(matmul(p.W_o, z) + p.b_o)
+    c_hat = tanh(matmul(p.W_c, z) + p.b_c)
+    c = hadamard(i, c_hat) + hadamard(f, c_prev)
+    h = hadamard(o, tanh(c))
     return h, c
 
 

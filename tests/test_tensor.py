@@ -1,10 +1,15 @@
-"""Tensor-engine tests: value oracles, gradient exactness, tape behavior."""
+"""Tensor-engine tests: value oracles, gradient exactness, tape behavior.
+
+The one-node-per-product primitives (``ops``) live in ``per_op``, the
+reference graph of the fused attention stack and classifier; they are
+tested here with the engine they are built on."""
 
 import math
 
 import numpy as np
 import pytest
 
+import per_op as ops
 from nnma import tensor as T
 from nnma.tensor import Tensor
 
@@ -46,12 +51,12 @@ def max_err(a, n):
 def test_matmul_identity():
     eye = Tensor(np.eye(2))
     v = Tensor([[1.0], [2.0]])
-    out = T.matmul(eye, v)
+    out = ops.matmul(eye, v)
     assert np.array_equal(out.data, [[1.0], [2.0]])
 
 
 def test_matmul_scalar_case():
-    assert T.matmul(Tensor([[2.0]]), Tensor([[3.0]])).item() == 6.0
+    assert ops.matmul(Tensor([[2.0]]), Tensor([[3.0]])).item() == 6.0
 
 
 def test_matmul_against_triple_loop():
@@ -66,20 +71,20 @@ def test_matmul_against_triple_loop():
             for k in range(4):
                 acc += a[i, k] * b[k, j]
             ref[i, j] = acc
-    out = T.matmul(Tensor(a), Tensor(b))
+    out = ops.matmul(Tensor(a), Tensor(b))
     assert np.max(np.abs(out.data - ref)) < 1e-12
 
 
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        ops.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
 def test_matmul_gradients():
     rng = np.random.default_rng(11)
     a = rand(3, 4, rng)
     b = rand(4, 2, rng)
-    f = lambda: T.sum_all(T.matmul(a, b))
+    f = lambda: ops.sum_all(ops.matmul(a, b))
     ga = analytic_grad(f, a)
     b.zero_grad()
     a.zero_grad()
@@ -92,36 +97,36 @@ def test_matmul_gradients():
 
 
 def test_concat_values():
-    out = T.concat([Tensor([1.0, 2.0]), Tensor([3.0])])
+    out = ops.concat([Tensor([1.0, 2.0]), Tensor([3.0])])
     assert np.array_equal(out.data, [[1.0], [2.0], [3.0]])
 
 
 def test_concat_single_part_is_identity():
     x = Tensor([[1.0], [5.0]])
-    assert np.array_equal(T.concat([x]).data, x.data)
+    assert np.array_equal(ops.concat([x]).data, x.data)
 
 
 def test_concat_gradient_is_ones():
     a = Tensor([[1.0], [2.0]], requires_grad=True)
     b = Tensor([[3.0]], requires_grad=True)
-    T.sum_all(T.concat([a, b])).backward()
+    ops.sum_all(ops.concat([a, b])).backward()
     assert np.array_equal(a.grad, np.ones((2, 1)))
     assert np.array_equal(b.grad, np.ones((1, 1)))
 
 
 def test_concat_errors():
     with pytest.raises(T.ShapeError):
-        T.concat([])
+        ops.concat([])
     with pytest.raises(T.ShapeError):
-        T.concat([Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 2)))])
+        ops.concat([Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 2)))])
 
 
 def test_hstack_values_and_gradient():
     a = Tensor([[1.0], [2.0]], requires_grad=True)
     b = Tensor([[3.0], [4.0]], requires_grad=True)
-    out = T.hstack([a, b])
+    out = ops.hstack([a, b])
     assert np.array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
-    T.sum_all(out).backward()
+    ops.sum_all(out).backward()
     assert np.array_equal(a.grad, np.ones((2, 1)))
 
 
@@ -129,13 +134,13 @@ def test_hstack_values_and_gradient():
 
 
 def test_sigmoid_tanh_at_zero():
-    assert T.sigmoid(Tensor([[0.0]])).item() == 0.5
-    assert T.tanh(Tensor([[0.0]])).item() == 0.0
+    assert ops.sigmoid(Tensor([[0.0]])).item() == 0.5
+    assert ops.tanh(Tensor([[0.0]])).item() == 0.0
 
 
 def test_tanh_gradient_central_difference():
     x = Tensor([[0.3]], requires_grad=True)
-    T.tanh(x).backward()
+    ops.tanh(x).backward()
     h = 1e-6
     numeric = (math.tanh(0.3 + h) - math.tanh(0.3 - h)) / (2 * h)
     assert abs(x.grad[0, 0] - numeric) / abs(numeric) < 1e-7
@@ -143,17 +148,17 @@ def test_tanh_gradient_central_difference():
 
 def test_zip_binary_values():
     assert np.array_equal(
-        T.hadamard(Tensor([2.0, 3.0]), Tensor([4.0, 5.0])).data,
+        ops.hadamard(Tensor([2.0, 3.0]), Tensor([4.0, 5.0])).data,
         [[8.0], [15.0]],
     )
     x = Tensor([0.4, -1.2])
-    assert np.array_equal(T.sub(x, x).data, np.zeros((2, 1)))
+    assert np.array_equal(ops.sub(x, x).data, np.zeros((2, 1)))
 
 
 def test_add_gradient_is_ones():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([5.0, 6.0], requires_grad=True)
-    T.sum_all(T.add(x, y)).backward()
+    ops.sum_all(T.add(x, y)).backward()
     assert np.array_equal(x.grad, np.ones((2, 1)))
     assert np.array_equal(y.grad, np.ones((2, 1)))
 
@@ -201,7 +206,7 @@ def test_softmax_gradient():
     rng = np.random.default_rng(9)
     x = rand(5, 1, rng)
     w = Tensor(rng.uniform(-1, 1, (5, 1)))  # fixed projection to scalar
-    f = lambda: T.sum_all(T.hadamard(T.softmax(x), w))
+    f = lambda: ops.sum_all(ops.hadamard(T.softmax(x), w))
     assert max_err(analytic_grad(f, x), numeric_grad(f, x)) < 1e-6
 
 
@@ -211,36 +216,36 @@ def test_softmax_gradient():
 def test_mean_cols_identical_columns():
     v = np.array([[0.7], [-0.3], [2.5]])
     m = Tensor(np.repeat(v, 4, axis=1))
-    assert np.max(np.abs(T.mean_cols(m).data - v)) < 1e-15
+    assert np.max(np.abs(ops.mean_cols(m).data - v)) < 1e-15
 
 
 def test_mean_cols_simple():
-    assert T.mean_cols(Tensor([[1.0, 3.0]])).item() == 2.0
+    assert ops.mean_cols(Tensor([[1.0, 3.0]])).item() == 2.0
 
 
 def test_mean_cols_gradient():
     rng = np.random.default_rng(13)
     m = rand(3, 4, rng)
-    f = lambda: T.sum_all(T.hadamard(T.mean_cols(m), Tensor([[1.0], [2.0], [-0.5]])))
+    f = lambda: ops.sum_all(ops.hadamard(ops.mean_cols(m), Tensor([[1.0], [2.0], [-0.5]])))
     assert max_err(analytic_grad(f, m), numeric_grad(f, m)) < 1e-7
 
 
 def test_broadcast_repeat_values():
-    out = T.broadcast_repeat(Tensor([1.0, 2.0]), 3)
+    out = ops.broadcast_repeat(Tensor([1.0, 2.0]), 3)
     assert np.array_equal(out.data, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     v = Tensor([0.5, -1.0])
-    assert np.array_equal(T.broadcast_repeat(v, 1).data, v.data)
+    assert np.array_equal(ops.broadcast_repeat(v, 1).data, v.data)
 
 
 def test_broadcast_repeat_gradient_is_count():
     v = Tensor([1.0, 2.0], requires_grad=True)
-    T.sum_all(T.broadcast_repeat(v, 5)).backward()
+    ops.sum_all(ops.broadcast_repeat(v, 5)).backward()
     assert np.array_equal(v.grad, np.full((2, 1), 5.0))
 
 
 def test_broadcast_repeat_zero_count():
     with pytest.raises(T.ShapeError):
-        T.broadcast_repeat(Tensor([1.0]), 0)
+        ops.broadcast_repeat(Tensor([1.0]), 0)
 
 
 # -- segments: a batch side by side ------------------------------------------------
@@ -264,7 +269,7 @@ def test_softmax_is_per_column_and_bitwise_per_column():
         alone = T.softmax(Tensor(x.data[:, j].copy())).data
         assert out[:, j:j + 1].tobytes() == alone.tobytes()
     w = Tensor(rng.uniform(-1, 1, (4, 3)))
-    f = lambda: T.sum_all(T.hadamard(T.softmax(x), w))
+    f = lambda: ops.sum_all(ops.hadamard(T.softmax(x), w))
     assert max_err(analytic_grad(f, x), numeric_grad(f, x)) < 1e-6
 
 
@@ -274,17 +279,17 @@ SEGMENTS = [1, 4, 2, 7]
 def test_segment_softmax_is_each_segment_alone_bitwise():
     rng = np.random.default_rng(22)
     row = rand(1, sum(SEGMENTS), rng, -4, 4)
-    out = T.segment_softmax(row, SEGMENTS)
+    out = ops.segment_softmax(row, SEGMENTS)
     assert out.shape == (sum(SEGMENTS), 1)
     for s, t in T.spans(SEGMENTS):
         alone = T.softmax(Tensor(row.data[0, s:t].copy())).data
         assert out.data[s:t].tobytes() == alone.tobytes()
-    assert T.segment_softmax(row).data.tobytes() == T.softmax(
+    assert ops.segment_softmax(row).data.tobytes() == T.softmax(
         Tensor(row.data[0].copy())).data.tobytes()
 
 
 def test_segment_softmax_of_zero_scores_is_exactly_uniform():
-    out = T.segment_softmax(Tensor(np.zeros((1, sum(SEGMENTS)))), SEGMENTS).data
+    out = ops.segment_softmax(Tensor(np.zeros((1, sum(SEGMENTS)))), SEGMENTS).data
     for (s, t), n in zip(T.spans(SEGMENTS), SEGMENTS):
         assert np.array_equal(out[s:t], np.full((n, 1), 1.0 / n))
 
@@ -293,64 +298,64 @@ def test_segment_softmax_gradient_and_errors():
     rng = np.random.default_rng(23)
     row = rand(1, sum(SEGMENTS), rng)
     w = Tensor(rng.uniform(-1, 1, (sum(SEGMENTS), 1)))
-    f = lambda: T.sum_all(T.hadamard(T.segment_softmax(row, SEGMENTS), w))
+    f = lambda: ops.sum_all(ops.hadamard(ops.segment_softmax(row, SEGMENTS), w))
     assert max_err(analytic_grad(f, row), numeric_grad(f, row)) < 1e-6
     with pytest.raises(T.ShapeError):
-        T.segment_softmax(Tensor(np.zeros((2, 1))))
+        ops.segment_softmax(Tensor(np.zeros((2, 1))))
     with pytest.raises(T.ShapeError):
-        T.segment_softmax(row, [1, 2])
+        ops.segment_softmax(row, [1, 2])
 
 
 def test_segment_matvec_is_each_segment_alone_bitwise_with_gradients():
     rng = np.random.default_rng(24)
     m = rand(3, sum(SEGMENTS), rng)
     w = rand(sum(SEGMENTS), 1, rng)
-    out = T.segment_matvec(m, w, SEGMENTS)
+    out = ops.segment_matvec(m, w, SEGMENTS)
     assert out.shape == (3, len(SEGMENTS))
     for j, (s, t) in enumerate(T.spans(SEGMENTS)):
         assert out.data[:, j:j + 1].tobytes() == (m.data[:, s:t] @ w.data[s:t]).tobytes()
     probe = Tensor(rng.uniform(-1, 1, (3, len(SEGMENTS))))
-    f = lambda: T.sum_all(T.hadamard(T.segment_matvec(m, w, SEGMENTS), probe))
+    f = lambda: ops.sum_all(ops.hadamard(ops.segment_matvec(m, w, SEGMENTS), probe))
     for t in (m, w):
         assert max_err(analytic_grad(f, t), numeric_grad(f, t)) < 1e-7
     with pytest.raises(T.ShapeError):
-        T.segment_matvec(m, rand(3, 1, rng), SEGMENTS)
+        ops.segment_matvec(m, rand(3, 1, rng), SEGMENTS)
 
 
 def test_mean_cols_per_segment_is_each_segment_alone_bitwise():
     rng = np.random.default_rng(25)
     m = rand(3, sum(SEGMENTS), rng)
-    out = T.mean_cols(m, SEGMENTS)
+    out = ops.mean_cols(m, SEGMENTS)
     for j, (s, t) in enumerate(T.spans(SEGMENTS)):
-        alone = T.mean_cols(Tensor(m.data[:, s:t].copy())).data
+        alone = ops.mean_cols(Tensor(m.data[:, s:t].copy())).data
         assert out.data[:, j:j + 1].tobytes() == alone.tobytes()
     probe = Tensor(rng.uniform(-1, 1, (3, len(SEGMENTS))))
-    f = lambda: T.sum_all(T.hadamard(T.mean_cols(m, SEGMENTS), probe))
+    f = lambda: ops.sum_all(ops.hadamard(ops.mean_cols(m, SEGMENTS), probe))
     assert max_err(analytic_grad(f, m), numeric_grad(f, m)) < 1e-7
 
 
 def test_broadcast_repeat_per_column_counts():
     v = Tensor([[1.0, -2.0], [3.0, 0.5]], requires_grad=True)
-    out = T.broadcast_repeat(v, [3, 1])
+    out = ops.broadcast_repeat(v, [3, 1])
     assert np.array_equal(out.data, [[1.0, 1.0, 1.0, -2.0], [3.0, 3.0, 3.0, 0.5]])
     probe = Tensor([[1.0, 2.0, 4.0, 8.0], [-1.0, 0.0, 1.0, 3.0]])
-    T.sum_all(T.hadamard(out, probe)).backward()
+    ops.sum_all(ops.hadamard(out, probe)).backward()
     assert np.array_equal(v.grad, [[7.0, 8.0], [0.0, 3.0]])
     for counts in ([3], [3, 0], 2):
         with pytest.raises(T.ShapeError):
-            T.broadcast_repeat(v, counts)
+            ops.broadcast_repeat(v, counts)
 
 
 def test_add_bias_values_and_gradient():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = Tensor([10.0, -1.0], requires_grad=True)
-    out = T.add_bias(x, b)
+    out = ops.add_bias(x, b)
     assert np.array_equal(out.data, [[10.0, 11.0, 12.0], [2.0, 3.0, 4.0]])
-    T.sum_all(T.hadamard(out, Tensor([[1.0, 2.0, 3.0], [0.5, 0.5, -1.0]]))).backward()
+    ops.sum_all(ops.hadamard(out, Tensor([[1.0, 2.0, 3.0], [0.5, 0.5, -1.0]]))).backward()
     assert np.array_equal(b.grad, [[6.0], [0.0]])
     assert np.array_equal(x.grad, [[1.0, 2.0, 3.0], [0.5, 0.5, -1.0]])
     with pytest.raises(T.ShapeError):
-        T.add_bias(x, Tensor([1.0, 2.0, 3.0]))
+        ops.add_bias(x, Tensor([1.0, 2.0, 3.0]))
 
 
 # -- select_columns ----------------------------------------------------------------
@@ -360,7 +365,7 @@ def test_select_columns_values_and_scatter():
     m = Tensor(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), requires_grad=True)
     out = T.select_columns(m, [2, 0, 2])
     assert np.array_equal(out.data, [[3.0, 1.0, 3.0], [6.0, 4.0, 6.0]])
-    T.sum_all(out).backward()
+    ops.sum_all(out).backward()
     # column 2 selected twice accumulates both contributions
     assert np.array_equal(m.grad, [[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
 
@@ -397,7 +402,7 @@ def test_column_block_values_layout_and_gradient():
     assert np.array_equal(right.data, m.data[:, 1:])
     assert right.data.flags.c_contiguous and left.data.flags.c_contiguous
     w = Tensor(np.arange(9.0).reshape(3, 3))
-    T.add(T.sum_all(left), T.sum_all(T.hadamard(right, w))).backward()
+    T.add(ops.sum_all(left), ops.sum_all(ops.hadamard(right, w))).backward()
     assert np.array_equal(m.grad, np.hstack([np.ones((3, 1)), w.data]))
 
 
@@ -427,10 +432,10 @@ LOOKUPS = [[5, 1, 5, 5, 0], [1, 7, 7, 2, 5], [9, 0]]
 def lookup_loss(select, m, weights, dense_first=None):
     """Weighted tanh of each lookup of ``m``, summed; optionally plus a
     dense use of ``m`` before or after the lookups."""
-    terms = [T.sum_all(T.hadamard(T.tanh(select(m, idx)), w))
+    terms = [ops.sum_all(ops.hadamard(ops.tanh(select(m, idx)), w))
              for idx, w in zip(LOOKUPS, weights)]
     if dense_first is not None:
-        dense = T.sum_all(T.hadamard(m, m))
+        dense = ops.sum_all(ops.hadamard(m, m))
         terms = [dense] + terms if dense_first else terms + [dense]
     total = terms[0]
     for term in terms[1:]:
@@ -472,7 +477,7 @@ def test_compact_lookup_grad_mixed_with_dense_use(dense_first):
 def test_compact_lookup_grad_through_computed_matrix(dense_first):
     # Lookups of tanh(m): the compact adjoint reaches a non-leaf node,
     # which densifies it before its own backward.
-    (compact, cols), (dense, _) = lookup_grads(T.tanh, 3, dense_first)
+    (compact, cols), (dense, _) = lookup_grads(ops.tanh, 3, dense_first)
     assert compact == dense
     assert cols is None
 
@@ -510,13 +515,13 @@ def test_column_grad_sums_with_arrays_from_either_side():
 
 def test_backward_of_sum_is_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    T.sum_all(x).backward()
+    ops.sum_all(x).backward()
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_of_square_is_2x():
     x = Tensor([[1.5], [-2.0]], requires_grad=True)
-    T.sum_all(T.hadamard(x, x)).backward()
+    ops.sum_all(ops.hadamard(x, x)).backward()
     assert np.array_equal(x.grad, 2 * x.data)
 
 
@@ -528,7 +533,7 @@ def test_backward_requires_scalar():
 
 def test_repeated_backward_accumulates():
     x = Tensor([[2.0]], requires_grad=True)
-    loss = T.sum_all(T.hadamard(x, x))
+    loss = ops.sum_all(ops.hadamard(x, x))
     loss.backward()
     first = x.grad.copy()
     loss.backward()
@@ -543,7 +548,7 @@ def test_tape_determinism_bitwise():
     for _ in range(2):
         a = Tensor(a_data.copy(), requires_grad=True)
         b = Tensor(b_data.copy(), requires_grad=True)
-        T.sum_all(T.tanh(T.matmul(a, b))).backward()
+        ops.sum_all(ops.tanh(ops.matmul(a, b))).backward()
         grads.append((a.grad.copy(), b.grad.copy()))
     assert np.array_equal(grads[0][0], grads[1][0])
     assert np.array_equal(grads[0][1], grads[1][1])
@@ -551,8 +556,8 @@ def test_tape_determinism_bitwise():
 
 def test_tape_inputs_precede_operations():
     x = Tensor([[1.0]], requires_grad=True)
-    y = T.tanh(x)
-    z = T.sum_all(y)
+    y = ops.tanh(x)
+    z = ops.sum_all(y)
     tape = T.topo_order(z)
     assert tape.index(x) < tape.index(y) < tape.index(z)
 
@@ -564,7 +569,7 @@ def test_linear_ops_gradient_is_value_independent():
     for _ in range(2):
         a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-        T.sum_all(T.mean_cols(T.concat([T.add(a, b), a]))).backward()
+        ops.sum_all(ops.mean_cols(ops.concat([T.add(a, b), a]))).backward()
         grads.append((a.grad.copy(), b.grad.copy()))
     assert np.array_equal(grads[0][0], grads[1][0])
     assert np.array_equal(grads[0][1], grads[1][1])
@@ -574,7 +579,7 @@ def test_detached_tensor_gets_no_grad():
     x = Tensor([[1.0]], requires_grad=True)
     with T.no_grad():
         frozen = T.scale(x, 1.0)
-    out = T.sum_all(T.hadamard(frozen, frozen))
+    out = ops.sum_all(ops.hadamard(frozen, frozen))
     assert out.requires_grad is False
     assert frozen.grad is None
 
@@ -582,9 +587,9 @@ def test_detached_tensor_gets_no_grad():
 def test_no_grad_records_nothing_and_keeps_values():
     rng = np.random.default_rng(5)
     a, b = rand(3, 2, rng), rand(2, 1, rng)
-    recorded = T.tanh(T.matmul(a, b))
+    recorded = ops.tanh(ops.matmul(a, b))
     with T.no_grad():
-        plain = T.tanh(T.matmul(a, b))
+        plain = ops.tanh(ops.matmul(a, b))
     assert np.array_equal(plain.data, recorded.data)
     assert plain._parents == () and plain._vjp is None
     assert plain.requires_grad is False
@@ -613,16 +618,16 @@ def test_gradient_exactness_sweep():
     cases = []
     x = rand(4, 3, rng)
     y = rand(4, 3, rng)
-    cases.append((lambda: T.sum_all(T.sigmoid(x)), [x]))
-    cases.append((lambda: T.sum_all(T.tanh(x)), [x]))
-    cases.append((lambda: T.sum_all(T.hadamard(x, y)), [x, y]))
-    cases.append((lambda: T.sum_all(T.sub(x, y)), [x, y]))
+    cases.append((lambda: ops.sum_all(ops.sigmoid(x)), [x]))
+    cases.append((lambda: ops.sum_all(ops.tanh(x)), [x]))
+    cases.append((lambda: ops.sum_all(ops.hadamard(x, y)), [x, y]))
+    cases.append((lambda: ops.sum_all(ops.sub(x, y)), [x, y]))
     w = rand(2, 4, rng)
-    cases.append((lambda: T.sum_all(T.matmul(w, x)), [w, x]))
+    cases.append((lambda: ops.sum_all(ops.matmul(w, x)), [w, x]))
     v = rand(5, 1, rng)
     p = Tensor(rng.uniform(-1, 1, (5, 1)))
-    cases.append((lambda: T.sum_all(T.hadamard(T.softmax(v), p)), [v]))
-    cases.append((lambda: T.sum_all(T.broadcast_repeat(T.mean_cols(x), 4)), [x]))
+    cases.append((lambda: ops.sum_all(ops.hadamard(T.softmax(v), p)), [v]))
+    cases.append((lambda: ops.sum_all(ops.broadcast_repeat(ops.mean_cols(x), 4)), [x]))
     for f, params in cases:
         assert T.grad_check(f, params) < 1e-6
 
@@ -655,10 +660,10 @@ def test_nll_target_out_of_range():
 
 def test_scale_doubles_value_and_gradient():
     x = Tensor([[1.0], [2.0]], requires_grad=True)
-    T.scale(T.sum_all(T.hadamard(x, x)), 2.0).backward()
+    T.scale(ops.sum_all(ops.hadamard(x, x)), 2.0).backward()
     doubled = x.grad.copy()
     x.zero_grad()
-    T.sum_all(T.hadamard(x, x)).backward()
+    ops.sum_all(ops.hadamard(x, x)).backward()
     assert np.array_equal(doubled, 2 * x.grad)
 
 
@@ -668,9 +673,9 @@ def test_scale_doubles_value_and_gradient():
 def test_grad_check_exact_on_sum():
     # at x = 0 the central difference (h - (-h)) / 2h is exact in floating point
     x = Tensor(np.zeros((3, 2)), requires_grad=True)
-    assert T.grad_check(lambda: T.sum_all(x), [x]) == 0.0
+    assert T.grad_check(lambda: ops.sum_all(x), [x]) == 0.0
     y = Tensor(np.random.default_rng(43).uniform(-1, 1, (3, 2)), requires_grad=True)
-    assert T.grad_check(lambda: T.sum_all(y), [y]) < 1e-10
+    assert T.grad_check(lambda: ops.sum_all(y), [y]) < 1e-10
 
 
 def test_grad_check_softmax_cross_entropy():
@@ -682,7 +687,7 @@ def test_grad_check_softmax_cross_entropy():
 def test_grad_check_rejects_non_finite():
     x = Tensor([[np.inf]], requires_grad=True)
     with pytest.raises(FloatingPointError):
-        T.grad_check(lambda: T.sum_all(x), [x])
+        T.grad_check(lambda: ops.sum_all(x), [x])
 
 
 def test_grad_check_flags_broken_gradient():
@@ -690,8 +695,8 @@ def test_grad_check_flags_broken_gradient():
     x = Tensor([[0.5]], requires_grad=True)
 
     def broken():
-        out = T.tanh(x)
+        out = ops.tanh(x)
         out._vjp = lambda g: (g * 0.123,)
-        return T.sum_all(out)
+        return ops.sum_all(out)
 
     assert T.grad_check(broken, [x]) > 1e-2
