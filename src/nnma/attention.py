@@ -31,9 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import Rng
-from .recurrent import xavier_uniform
-from .tensor import ShapeError, Tensor, _make, recording, segments, spans
+from .tensor import ParamGroup, ShapeError, Tensor, _make, recording, segments, spans
 
 
 @dataclass
@@ -45,23 +43,12 @@ class GeneralRepr:
 
 
 @dataclass
-class ArgAttentionParams:
+class ArgAttentionParams(ParamGroup):
     """Attention weights for one argument at one level."""
 
     w_a: Tensor  # 2d x 2d, transforms word encodings
     w_b: Tensor  # 2d x d_m, injects the memory
     w_s: Tensor  # 1 x 2d, scores each position
-
-    @classmethod
-    def create(cls, d: int, d_m: int, rng: Rng) -> "ArgAttentionParams":
-        return cls(
-            xavier_uniform(2 * d, 2 * d, rng),
-            xavier_uniform(2 * d, d_m, rng),
-            xavier_uniform(1, 2 * d, rng),
-        )
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w_a, self.w_b, self.w_s]
 
 
 def memory_input_width(level: int, d: int, d_m: int) -> int:
@@ -73,22 +60,13 @@ def memory_input_width(level: int, d: int, d_m: int) -> int:
 
 
 @dataclass
-class AttentionLevelParams:
+class AttentionLevelParams(ParamGroup):
     """All weights of one attention level: the memory update plus one
     attention triple per argument."""
 
     w_m: Tensor
     arg1: ArgAttentionParams
     arg2: ArgAttentionParams
-
-    @classmethod
-    def create(cls, level: int, d: int, d_m: int, rng: Rng) -> "AttentionLevelParams":
-        w_m = xavier_uniform(d_m, memory_input_width(level, d, d_m), rng)
-        return cls(w_m, ArgAttentionParams.create(d, d_m, rng),
-                   ArgAttentionParams.create(d, d_m, rng))
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w_m] + self.arg1.tensors() + self.arg2.tensors()
 
 
 @dataclass

@@ -38,13 +38,14 @@ from .corpus import (
     OTHER_LABEL,
     CorpusError,
     Dataset,
+    Instance,
     TaskSpec,
     apply_task,
     parse_tsv,
     synth_generate,
     write_tsv,
 )
-from .embeddings import EmbeddingMatrix, Vocabulary, load_pretrained
+from .embeddings import Vocabulary, load_pretrained
 from .metrics import (
     attention_traces,
     evaluate,
@@ -55,11 +56,10 @@ from .metrics import (
 )
 from .model import CheckpointError, NnmaModel
 from .rng import Rng
-from .tensor import Tensor, add, grad_check
+from .tensor import grad_check
 from .trainer import Hyperparams, TrainingDiverged, fit, reweight
 
 GRADCHECK_THRESHOLD = 1e-4
-BREAK_GRAD_ENV = "NNMA_TEST_BREAK_GRAD"
 
 
 class ConfigError(ValueError):
@@ -207,14 +207,13 @@ def cmd_train(args) -> int:
     hp = config.hp
     rng = Rng(hp.seed)
     vocab = Vocabulary.from_instances(train.instances)
+    embeddings = None
     if config.embeddings_path is not None:
         with utf8_text(config.embeddings_path, ConfigError) as fh:
             loaded = load_pretrained(fh, hp.d_e, vocab, rng)
         embeddings = loaded.matrix
         print(f"embeddings: {loaded.loaded} from file, {loaded.missing} random, "
               f"{loaded.malformed} malformed lines")
-    else:
-        embeddings = EmbeddingMatrix.random(vocab, hp.d_e, rng)
     model = NnmaModel.create(vocab, labels, hp.d_e, hp.d, hp.d_m, hp.k, rng,
                              embeddings=embeddings)
 
@@ -367,29 +366,17 @@ def cmd_gradcheck(args) -> int:
     tokens = vocab.tokens[1:]
     arg1 = [tokens[rng.below(len(tokens))] for _ in range(length)]
     arg2 = [tokens[rng.below(len(tokens))] for _ in range(max(1, length - 1))]
-    from .corpus import Instance
-
     inst = Instance(labels[0], arg1, arg2)
-    gold = 1
-    broken = bool(os.environ.get(BREAK_GRAD_ENV))
 
     def loss():
-        out = model.loss(model.forward(inst), gold)
-        if broken:
-            # A value that tracks b_p outside the recorded graph: the
-            # numeric derivative sees it, backward does not.
-            out = add(out, Tensor([[1e-3 * float(model.b_p.data.sum())]]))
-        return out
+        return model.loss(model.forward(inst), 1)
 
-    groups = [("embeddings", model.embedding_parameters()),
-              ("enc1", model.enc1.tensors()),
-              ("enc2", model.enc2.tensors())]
-    groups += [(f"level{i}", level.tensors())
-               for i, level in enumerate(model.levels, start=1)]
-    groups += [("classifier", [model.w_p, model.b_p])]
+    groups: dict[str, list] = {}
+    for spec, param in zip(model.table, model.parameters()):
+        groups.setdefault(spec.group, []).append(param)
 
     worst = 0.0
-    for name, params in groups:
+    for name, params in groups.items():
         err = grad_check(loss, params)
         worst = max(worst, err)
         print(f"{name} {err!r}")

@@ -22,27 +22,32 @@ Checkpoint layout (little-endian throughout):
     header       JSON (UTF-8, sorted keys): d, d_e, d_m, k, n, v,
                  labels (n strings), vocab (v tokens, index order)
     payload      every parameter as raw float64 row-major bytes, in
-                 the order of ``parameters()``
+                 the order of ``parameter_table``
 
-The header fixes every array shape, so the payload carries no framing;
-any length mismatch is a hard error and no partial model is returned.
+``parameter_table`` is the one statement of the parameter layout: the
+name, shape and initialization of every tensor, in checkpoint order,
+which is also the order ``create`` draws them in. Construction, the
+checkpoint, the optimizer groups and ``nnma gradcheck``'s groups all
+read it. The header fixes every array shape, so the payload carries no
+framing; any length mismatch is a hard error and no partial model is
+returned.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import (AttentionLevelParams, ArgAttentionParams, AttentionTrace,
-                        memory_input_width, run_stack)
+from .attention import AttentionLevelParams, AttentionTrace, memory_input_width, run_stack
 from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
-from .recurrent import BiLstmParams, LstmParams, encode_pair, xavier_uniform
+from .recurrent import BiLstmParams, encode_pair
 from .rng import Rng
 from .tensor import ShapeError, Tensor, _make, nll_from_logits, no_grad, scale, softmax
 
@@ -55,16 +60,60 @@ class CheckpointError(ValueError):
     """Unreadable or inconsistent checkpoint data."""
 
 
-def parameter_shapes(d_e: int, d: int, d_m: int, k: int, n: int,
-                     v: int) -> list[tuple[int, int]]:
-    """Shape of every parameter, in the order of ``parameters()``:
-    embeddings, four LSTM directions, k attention levels, classifier."""
-    lstm = [(d, d_e + d)] * 4 + [(d, 1)] * 4
-    arg_side = [(2 * d, 2 * d), (2 * d, d_m), (1, 2 * d)]
-    shapes = [(d_e, v)] + lstm * 4
+class ParamSpec(NamedTuple):
+    """One row of the parameter table. ``name`` is dotted, its first
+    component the group (``embeddings``, ``enc1``, ``enc2``, ``level1``
+    to ``levelK``, ``classifier``); ``init`` is ``embedding`` (the
+    embedding scheme), ``xavier`` (``xavier_uniform``) or ``zeros``."""
+
+    name: str
+    shape: tuple[int, int]
+    init: str
+
+    @property
+    def group(self) -> str:
+        return self.name.partition(".")[0]
+
+
+def parameter_table(d_e: int, d: int, d_m: int, k: int, n: int,
+                    v: int) -> Iterator[ParamSpec]:
+    """The rows for every parameter of a model with these dimensions
+    (n labels, v vocabulary entries), in checkpoint and draw order: the
+    embeddings, each encoder's forward then backward direction, k
+    attention levels, the classifier. Within a group the rows follow
+    the fields of its parameter dataclass. Rows are made as they are
+    read, so a reader can stop early."""
+    yield ParamSpec("embeddings", (d_e, v), "embedding")
+    for name in ("enc1.forward", "enc1.backward", "enc2.forward", "enc2.backward"):
+        for gate in "ifoc":
+            yield ParamSpec(f"{name}.W_{gate}", (d, d_e + d), "xavier")
+        for gate in "ifoc":
+            yield ParamSpec(f"{name}.b_{gate}", (d, 1), "zeros")
     for level in range(1, k + 1):
-        shapes += [(d_m, memory_input_width(level, d, d_m))] + arg_side * 2
-    return shapes + [(n, 6 * d), (n, 1)]
+        yield ParamSpec(f"level{level}.w_m", (d_m, memory_input_width(level, d, d_m)), "xavier")
+        for arg in (f"level{level}.arg1", f"level{level}.arg2"):
+            yield ParamSpec(f"{arg}.w_a", (2 * d, 2 * d), "xavier")
+            yield ParamSpec(f"{arg}.w_b", (2 * d, d_m), "xavier")
+            yield ParamSpec(f"{arg}.w_s", (1, 2 * d), "xavier")
+    yield ParamSpec("classifier.w_p", (n, 6 * d), "xavier")
+    yield ParamSpec("classifier.b_p", (n, 1), "zeros")
+
+
+def xavier_uniform(rows: int, cols: int, rng: Rng) -> Tensor:
+    """Weight matrix drawn uniform(-r, r), r = sqrt(6 / (fan_in + fan_out))
+    with fan_in = cols and fan_out = rows."""
+    r = math.sqrt(6.0 / (rows + cols))
+    return Tensor(rng.uniform_matrix(rows, cols, -r, r), requires_grad=True)
+
+
+def draw(spec: ParamSpec, rng: Rng) -> Tensor:
+    """A fresh tensor for a ``xavier`` or ``zeros`` row; only a ``xavier``
+    row reads the generator."""
+    if spec.init == "xavier":
+        return xavier_uniform(*spec.shape, rng)
+    if spec.init == "zeros":
+        return Tensor.zeros(*spec.shape, requires_grad=True)
+    raise ValueError(f"{spec.name}: no draw for init {spec.init!r}")
 
 
 def classify(final: Tensor, w_p: Tensor, b_p: Tensor,
@@ -116,60 +165,48 @@ class Prediction:
 
 
 class NnmaModel:
-    """All learnable parameters plus the forward computation."""
+    """All learnable parameters plus the forward computation. ``table``
+    holds the parameter table's rows for the model's dimensions."""
 
-    def __init__(self, vocab: Vocabulary, label_names: list[str],
-                 embeddings: EmbeddingMatrix, enc1: BiLstmParams,
-                 enc2: BiLstmParams, levels: list[AttentionLevelParams],
-                 w_p: Tensor, b_p: Tensor):
+    def __init__(self, vocab: Vocabulary, label_names: list[str], d_e: int, d: int,
+                 d_m: int, k: int, tensors: Sequence[Tensor]):
+        """Model from its parameters, one for each ``parameter_table`` row
+        of these dimensions, in the rows' order and of their shapes."""
         if len(label_names) < 2:
             raise ValueError("need at least two labels")
-        if not levels:
+        if k < 1:
             raise ValueError("need at least one attention level")
         self.vocab = vocab
         self.label_names = list(label_names)
-        self.embeddings = embeddings
-        self.enc1 = enc1
-        self.enc2 = enc2
-        self.levels = levels
-        self.w_p = w_p
-        self.b_p = b_p
-
-    # -- construction -----------------------------------------------------
+        self.d_e, self.d, self.d_m, self.k = d_e, d, d_m, k
+        self.table = list(parameter_table(d_e, d, d_m, k, len(label_names), len(vocab)))
+        self._tensors = list(tensors)
+        if [t.shape for t in self._tensors] != [spec.shape for spec in self.table]:
+            raise ShapeError("parameters do not match the parameter table")
+        named = {spec.name: t for spec, t in zip(self.table, self._tensors)}
+        self.embeddings = EmbeddingMatrix(named["embeddings"], d_e)
+        self.enc1 = BiLstmParams.named("enc1", named)
+        self.enc2 = BiLstmParams.named("enc2", named)
+        self.levels = [AttentionLevelParams.named(f"level{level}", named)
+                       for level in range(1, k + 1)]
+        self.w_p, self.b_p = named["classifier.w_p"], named["classifier.b_p"]
 
     @classmethod
     def create(cls, vocab: Vocabulary, label_names: list[str], d_e: int,
                d: int, d_m: int, k: int, rng: Rng,
                embeddings: EmbeddingMatrix | None = None) -> "NnmaModel":
-        """Fresh model; weight matrices are drawn from the generator in
-        the fixed parameter order, biases start at zero."""
-        if embeddings is None:
-            embeddings = EmbeddingMatrix.random(vocab, d_e, rng)
-        enc1 = BiLstmParams.create(d_e, d, rng)
-        enc2 = BiLstmParams.create(d_e, d, rng)
-        levels = [AttentionLevelParams.create(level, d, d_m, rng)
-                  for level in range(1, k + 1)]
-        w_p = xavier_uniform(len(label_names), 6 * d, rng)
-        b_p = Tensor.zeros(len(label_names), 1, requires_grad=True)
-        return cls(vocab, label_names, embeddings, enc1, enc2, levels, w_p, b_p)
-
-    # -- dimensions --------------------------------------------------------
-
-    @property
-    def d_e(self) -> int:
-        return self.embeddings.dim
-
-    @property
-    def d(self) -> int:
-        return self.enc1.hidden_dim
-
-    @property
-    def d_m(self) -> int:
-        return self.levels[0].w_m.rows
-
-    @property
-    def k(self) -> int:
-        return len(self.levels)
+        """Fresh model: the parameter table's rows in order, the embedding
+        matrix (unless given) and every xavier row drawn from the
+        generator, the zeros rows (biases) at zero."""
+        tensors = []
+        for spec in parameter_table(d_e, d, d_m, k, len(label_names), len(vocab)):
+            if spec.init != "embedding":
+                tensors.append(draw(spec, rng))
+            elif embeddings is None:
+                tensors.append(EmbeddingMatrix.random(vocab, d_e, rng).weights)
+            else:
+                tensors.append(embeddings.weights)
+        return cls(vocab, label_names, d_e, d, d_m, k, tensors)
 
     @property
     def n_labels(self) -> int:
@@ -184,20 +221,17 @@ class NnmaModel:
     # -- parameter groups ---------------------------------------------------
 
     def parameters(self) -> list[Tensor]:
-        """Every trainable tensor, in the serialization order."""
-        return self.embedding_parameters() + self.network_parameters()
+        """Every trainable tensor, in the order of ``self.table``."""
+        return list(self._tensors)
 
     def embedding_parameters(self) -> list[Tensor]:
-        """The group trained at the embedding-specific rate."""
-        return [self.embeddings.weights]
+        """The group trained at the embedding-specific rate: the table's
+        ``embeddings`` row."""
+        return [t for spec, t in zip(self.table, self._tensors) if spec.group == "embeddings"]
 
     def network_parameters(self) -> list[Tensor]:
-        """Everything except the embedding matrix."""
-        out = self.enc1.tensors() + self.enc2.tensors()
-        for level in self.levels:
-            out += level.tensors()
-        out += [self.w_p, self.b_p]
-        return out
+        """Every other row of the table, in its order."""
+        return [t for spec, t in zip(self.table, self._tensors) if spec.group != "embeddings"]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -343,23 +377,21 @@ class NnmaModel:
         except ValueError as exc:
             raise CheckpointError(f"header vocab: {exc}") from None
 
-        shapes = parameter_shapes(dims["d_e"], dims["d"], dims["d_m"], dims["k"],
-                                  dims["n"], dims["v"])
-        expected = 8 * sum(rows * cols for rows, cols in shapes)
         left = cls._bytes_left(fh)
-        if left < expected:
-            raise CheckpointError(f"truncated checkpoint: {left} payload bytes, "
-                                  f"the header implies {expected}")
+        table, expected = [], 0
+        for spec in parameter_table(**dims):
+            table.append(spec)
+            expected += 8 * math.prod(spec.shape)
+            if expected > left:
+                raise CheckpointError(f"truncated checkpoint: {left} payload bytes, "
+                                      f"the header implies at least {expected}")
         if left > expected:
             raise CheckpointError(f"trailing bytes after parameter payload: {left} "
                                   f"bytes, the header implies {expected}")
 
-        tensors = []
-        for rows, cols in shapes:
-            raw = fh.read(rows * cols * 8)
-            data = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
-            tensors.append(Tensor(data, requires_grad=True))
-        return cls._assemble(vocab, labels, dims["k"], tensors)
+        tensors = [Tensor(np.frombuffer(fh.read(8 * math.prod(spec.shape)), dtype="<f8")
+                          .reshape(spec.shape), requires_grad=True) for spec in table]
+        return cls(vocab, labels, dims["d_e"], dims["d"], dims["d_m"], dims["k"], tensors)
 
     @staticmethod
     def _bytes_left(fh: IO[bytes]) -> int:
@@ -368,22 +400,3 @@ class NnmaModel:
         left = fh.seek(0, io.SEEK_END) - start
         fh.seek(start)
         return left
-
-    @classmethod
-    def _assemble(cls, vocab: Vocabulary, label_names: list[str], k: int,
-                  tensors: list[Tensor]) -> "NnmaModel":
-        """Model from its parameters listed in the order of ``parameters()``."""
-        it = iter(tensors)
-
-        def take(count):
-            return [next(it) for _ in range(count)]
-
-        weights = next(it)
-        embeddings = EmbeddingMatrix(weights, weights.rows)
-        enc1 = BiLstmParams(LstmParams(*take(8)), LstmParams(*take(8)))
-        enc2 = BiLstmParams(LstmParams(*take(8)), LstmParams(*take(8)))
-        levels = [AttentionLevelParams(next(it), ArgAttentionParams(*take(3)),
-                                       ArgAttentionParams(*take(3)))
-                  for _ in range(k)]
-        w_p, b_p = take(2)
-        return cls(vocab, label_names, embeddings, enc1, enc2, levels, w_p, b_p)

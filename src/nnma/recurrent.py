@@ -21,23 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import math
-
 import numpy as np
 
-from .rng import Rng
-from .tensor import ShapeError, Tensor, _make, column_block, recording, segments, spans
-
-
-def xavier_uniform(rows: int, cols: int, rng: Rng) -> Tensor:
-    """Weight matrix drawn uniform(-r, r), r = sqrt(6 / (fan_in + fan_out))
-    with fan_in = cols and fan_out = rows."""
-    r = math.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform_matrix(rows, cols, -r, r), requires_grad=True)
+from .tensor import (ParamGroup, ShapeError, Tensor, _make, column_block, recording,
+                     segments, spans)
 
 
 @dataclass
-class LstmParams:
+class LstmParams(ParamGroup):
     """Gate projections for one direction.
 
     Each W_* maps the concatenated [input; previous hidden] vector of
@@ -53,41 +44,15 @@ class LstmParams:
     b_o: Tensor
     b_c: Tensor
 
-    @classmethod
-    def create(cls, input_dim: int, hidden_dim: int, rng: Rng) -> "LstmParams":
-        """Xavier-uniform weights drawn in field order; zero biases."""
-        width = input_dim + hidden_dim
-        weights = [xavier_uniform(hidden_dim, width, rng) for _ in range(4)]
-        biases = [Tensor.zeros(hidden_dim, 1, requires_grad=True) for _ in range(4)]
-        return cls(*weights, *biases)
-
     @property
     def hidden_dim(self) -> int:
         return self.W_i.rows
 
-    def tensors(self) -> list[Tensor]:
-        """Parameters in serialization order."""
-        return [self.W_i, self.W_f, self.W_o, self.W_c,
-                self.b_i, self.b_f, self.b_o, self.b_c]
-
 
 @dataclass
-class BiLstmParams:
+class BiLstmParams(ParamGroup):
     forward: LstmParams
     backward: LstmParams
-
-    @classmethod
-    def create(cls, input_dim: int, hidden_dim: int, rng: Rng) -> "BiLstmParams":
-        fwd = LstmParams.create(input_dim, hidden_dim, rng)
-        bwd = LstmParams.create(input_dim, hidden_dim, rng)
-        return cls(fwd, bwd)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.forward.hidden_dim
-
-    def tensors(self) -> list[Tensor]:
-        return self.forward.tensors() + self.backward.tensors()
 
 
 def _reading_rows(x: np.ndarray, bounds: list[tuple[int, int]], backward: bool) -> np.ndarray:
@@ -178,7 +143,7 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: BiLstmParams, p2: BiLstmParams,
     backward pass reads are not kept. h1 and h2 are two column blocks
     of the operation's 2d x (N1 + N2) output.
     """
-    n_in, d = x1.rows, p1.hidden_dim
+    n_in, d = x1.rows, p1.forward.hidden_dim
     if min(x1.cols, x2.cols) == 0:
         raise ValueError("encode_pair needs at least one word in each argument")
     if x2.rows != n_in:

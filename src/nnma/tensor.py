@@ -25,7 +25,8 @@ differences and is the verification oracle for everything built on top.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from dataclasses import fields
+from typing import Callable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -115,11 +116,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
     # -- backward --------------------------------------------------------------
 
     def backward(self) -> None:
@@ -204,6 +200,33 @@ class ColumnGrad:
         return other + self.dense()
 
 
+class ParamGroup:
+    """Base of the parameter dataclasses (``recurrent.LstmParams`` and the
+    like): each field is a ``Tensor`` or a nested group. A field's full
+    name is its group's name, a dot and the field's name, as in the rows
+    of ``model.parameter_table``, which list them in field order."""
+
+    def tensors(self) -> list[Tensor]:
+        """Every tensor of the group in field order, nested groups flattened."""
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out += value.tensors() if isinstance(value, ParamGroup) else [value]
+        return out
+
+    @classmethod
+    def named(cls, prefix: str, tensors: Mapping[str, Tensor]):
+        """The group called ``prefix``: field ``x`` is ``tensors[prefix + ".x"]``,
+        or the nested group called ``prefix + ".x"``."""
+        kinds = get_type_hints(cls)
+        values = []
+        for f in fields(cls):
+            name, kind = f"{prefix}.{f.name}", kinds[f.name]
+            values.append(kind.named(name, tensors) if issubclass(kind, ParamGroup)
+                          else tensors[name])
+        return cls(*values)
+
+
 def topo_order(root: Tensor) -> list[Tensor]:
     """Tape for the reverse sweep: every tensor reachable from ``root``
     through grad-requiring edges, with inputs preceding the operations
@@ -271,16 +294,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 
 # -- primitive operations -----------------------------------------------------
-
-
-def add(x: Tensor, y: Tensor) -> Tensor:
-    if x.shape != y.shape:
-        raise ShapeError(f"add shape mismatch: {x.shape} vs {y.shape}")
-
-    def vjp(g: np.ndarray):
-        return g, g
-
-    return _make(x.data + y.data, (x, y), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -166,6 +166,25 @@ def train_step(model, instance, gold: int, weight: float,
     return value
 
 
+def run_epoch(model, train: Dataset, gold: list[int], weights: list[float],
+              opt_net: MomentumSgd, opt_emb: MomentumSgd, hp: Hyperparams,
+              rng: Rng) -> float:
+    """One pass over ``train`` in an order shuffled from ``rng``, one
+    ``train_step`` per instance, each with a fresh dropout mask; returns
+    the mean (weighted) loss. A divergence names the instance."""
+    order = list(range(len(train)))
+    rng.shuffle(order)
+    total = 0.0
+    for idx in order:
+        mask = dropout_mask(6 * model.d, hp.dropout, rng)
+        try:
+            total += train_step(model, train.instances[idx], gold[idx],
+                                weights[idx], opt_net, opt_emb, mask)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"instance {idx}: {exc}") from None
+    return total / len(train)
+
+
 def fit(model, train: Dataset, dev: Dataset, hp: Hyperparams,
         weights: list[float] | None = None, rng: Rng | None = None,
         log: Callable[[str], None] | None = None) -> TrainingReport:
@@ -197,18 +216,10 @@ def fit(model, train: Dataset, dev: Dataset, hp: Hyperparams,
     streak = 0
 
     for epoch in range(1, hp.max_epochs + 1):
-        order = list(range(len(train)))
-        rng.shuffle(order)
-        total = 0.0
-        for idx in order:
-            mask = dropout_mask(6 * model.d, hp.dropout, rng)
-            try:
-                total += train_step(model, train.instances[idx], gold[idx],
-                                    weights[idx], opt_net, opt_emb, mask)
-            except TrainingDiverged as exc:
-                raise TrainingDiverged(
-                    f"epoch {epoch}, instance {idx}: {exc}") from None
-        train_loss = total / len(train)
+        try:
+            train_loss = run_epoch(model, train, gold, weights, opt_net, opt_emb, hp, rng)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"epoch {epoch}, {exc}") from None
 
         dev_result = evaluate(model, dev)
         stats = EpochStats(epoch, train_loss, dev_result.macro_f1,

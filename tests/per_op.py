@@ -20,7 +20,7 @@ from nnma.attention import (ArgAttentionParams, AttentionLevelParams, AttentionT
 from nnma.embeddings import embed_sequence
 from nnma.model import Prediction
 from nnma.recurrent import encode_pair
-from nnma.tensor import ShapeError, Tensor, _make, add, segments, softmax, spans
+from nnma.tensor import ShapeError, Tensor, _make, segments, softmax, spans
 
 
 # -- primitive operations -----------------------------------------------------
@@ -29,6 +29,15 @@ from nnma.tensor import ShapeError, Tensor, _make, add, segments, softmax, spans
 def _require_same_shape(x: Tensor, y: Tensor, op: str) -> None:
     if x.shape != y.shape:
         raise ShapeError(f"{op} shape mismatch: {x.shape} vs {y.shape}")
+
+
+def add(x: Tensor, y: Tensor) -> Tensor:
+    _require_same_shape(x, y, "add")
+
+    def vjp(g: np.ndarray):
+        return g, g
+
+    return _make(x.data + y.data, (x, y), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -22,7 +22,7 @@ from nnma.metrics import attention_kl_report, kl_divergence, macro_f1
 from nnma.model import NnmaModel
 from nnma.rng import Rng
 from nnma.trainer import (Hyperparams, MomentumSgd, dropout_mask, evaluate,
-                          train_step)
+                          run_epoch, train_step)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,22 +36,16 @@ def verdict(criterion: int, passed: bool, detail: str) -> None:
 
 
 def train_epochs(model, train: Dataset, hp: Hyperparams, rng: Rng) -> float:
-    """The trainer's epoch loop without early stopping; returns the
-    mean training loss of the last epoch."""
+    """The trainer's epochs without dev scoring or early stopping;
+    returns the mean training loss of the last epoch."""
     gold = [model.label_index(inst.label) for inst in train.instances]
+    weights = [1.0] * len(train)
     opt_net = MomentumSgd(model.network_parameters(), hp.rate, hp.momentum)
     opt_emb = MomentumSgd(model.embedding_parameters(), hp.embedding_rate,
                           hp.momentum)
     last = math.inf
     for _ in range(hp.max_epochs):
-        order = list(range(len(train)))
-        rng.shuffle(order)
-        total = 0.0
-        for idx in order:
-            mask = dropout_mask(6 * model.d, hp.dropout, rng)
-            total += train_step(model, train.instances[idx], gold[idx], 1.0,
-                                opt_net, opt_emb, mask)
-        last = total / len(train)
+        last = run_epoch(model, train, gold, weights, opt_net, opt_emb, hp, rng)
     return last
 
 
@@ -83,8 +77,7 @@ def three_level_overfit(synth_splits):
     return overfit_run(synth_splits[0], replace(OVERFIT_HP, k=3))
 
 
-def test_criterion_01_gradient_check(capsys, monkeypatch):
-    monkeypatch.delenv("NNMA_TEST_BREAK_GRAD", raising=False)
+def test_criterion_01_gradient_check(capsys):
     start = time.monotonic()
     code = main(["gradcheck"])
     elapsed = time.monotonic() - start

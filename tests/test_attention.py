@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from nnma.attention import (
-    ArgAttentionParams,
-    AttentionLevelParams,
-    GeneralRepr,
-    memory_input_width,
-    run_stack,
-)
+from nnma.attention import GeneralRepr, memory_input_width, run_stack
 from nnma.rng import Rng
 from nnma.tensor import Tensor, grad_check
 from per_op import attend, general_repr, mean_cols, memory_first, memory_next, sum_all
+from table_params import arg_attention, attention_level
 
 
 def rand_matrix(rows, cols, seed, requires_grad=False):
@@ -19,7 +14,7 @@ def rand_matrix(rows, cols, seed, requires_grad=False):
 
 
 def level_params(level, d, d_m, seed):
-    return AttentionLevelParams.create(level, d, d_m, Rng(seed))
+    return attention_level(level, d, d_m, Rng(seed))
 
 
 def zero_scores(params):
@@ -31,7 +26,7 @@ def zero_scores(params):
 
 def stack_params(K, d, d_m, seed):
     rng = Rng(seed)
-    return [AttentionLevelParams.create(k, d, d_m, rng) for k in range(1, K + 1)]
+    return [attention_level(k, d, d_m, rng) for k in range(1, K + 1)]
 
 
 class TestGeneralRepr:
@@ -147,7 +142,7 @@ class TestMemoryInputWidth:
 class TestAttend:
     def test_zero_scores_give_uniform_and_exact_mean(self):
         d, d_m, L = 2, 3, 5
-        p = ArgAttentionParams.create(d, d_m, Rng(30))
+        p = arg_attention(d, d_m, Rng(30))
         p.w_s.data[:] = 0.0
         h = rand_matrix(2 * d, L, 31)
         M = rand_matrix(d_m, 1, 32)
@@ -157,7 +152,7 @@ class TestAttend:
 
     def test_single_word(self):
         d, d_m = 2, 3
-        p = ArgAttentionParams.create(d, d_m, Rng(33))
+        p = arg_attention(d, d_m, Rng(33))
         h = rand_matrix(2 * d, 1, 34)
         a, r = attend(h, rand_matrix(d_m, 1, 35), p)
         assert a.data.tolist() == [[1.0]]
@@ -165,7 +160,7 @@ class TestAttend:
 
     def test_weighted_sum_matches_explicit_loop(self):
         d, d_m, L = 3, 4, 6
-        p = ArgAttentionParams.create(d, d_m, Rng(36))
+        p = arg_attention(d, d_m, Rng(36))
         h = rand_matrix(2 * d, L, 37)
         a, r = attend(h, rand_matrix(d_m, 1, 38), p)
         expected = np.zeros((2 * d, 1))
@@ -175,7 +170,7 @@ class TestAttend:
 
     def test_distribution_properties(self):
         d, d_m, L = 2, 3, 7
-        p = ArgAttentionParams.create(d, d_m, Rng(39))
+        p = arg_attention(d, d_m, Rng(39))
         h = rand_matrix(2 * d, L, 40)
         a, _ = attend(h, rand_matrix(d_m, 1, 41), p)
         assert np.all(a.data >= 0.0)
@@ -183,7 +178,7 @@ class TestAttend:
 
     def test_representation_in_convex_hull(self):
         d, d_m, L = 2, 3, 5
-        p = ArgAttentionParams.create(d, d_m, Rng(42))
+        p = arg_attention(d, d_m, Rng(42))
         h = rand_matrix(2 * d, L, 43)
         _, r = attend(h, rand_matrix(d_m, 1, 44), p)
         lo = h.data.min(axis=1, keepdims=True)

@@ -13,11 +13,12 @@ from nnma.corpus import Dataset, Instance, write_tsv
 from nnma.embeddings import Vocabulary
 from nnma.metrics import attention_kl_report, evaluate
 from nnma.model import CHUNK, NnmaModel
-from nnma.recurrent import BiLstmParams, encode_pair
+from nnma.recurrent import encode_pair
 from nnma.rng import Rng
 from nnma.tensor import Tensor, grad_check, no_grad, spans, topo_order
 from nnma.trainer import Hyperparams, MomentumSgd, train_step
-from per_op import hadamard, sum_all
+from per_op import add, hadamard, sum_all
+from table_params import bilstm
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 WORDS = [f"w{i}" for i in range(12)]
@@ -144,7 +145,7 @@ def test_batch_gradient_is_the_sum_of_instance_gradients():
 
 def test_batched_encoder_gradient_check():
     rng = Rng(5)
-    p1, p2 = BiLstmParams.create(3, 2, rng), BiLstmParams.create(3, 2, rng)
+    p1, p2 = bilstm(3, 2, rng), bilstm(3, 2, rng)
     lengths1, lengths2 = [2, 1, 3], [1, 3, 2]
     x1 = Tensor(rng.uniform_matrix(3, sum(lengths1), -1.0, 1.0), requires_grad=True)
     x2 = Tensor(rng.uniform_matrix(3, sum(lengths2), -1.0, 1.0), requires_grad=True)
@@ -153,14 +154,14 @@ def test_batched_encoder_gradient_check():
 
     def loss():
         h1, h2 = encode_pair(x1, x2, p1, p2, lengths1, lengths2)
-        return sum_all(hadamard(h1, w1)) + sum_all(hadamard(h2, w2))
+        return add(sum_all(hadamard(h1, w1)), sum_all(hadamard(h2, w2)))
 
     assert grad_check(loss, [x1, x2] + p1.tensors() + p2.tensors()) < 1e-6
 
 
 def test_batched_encoder_reads_each_instance_alone():
     rng = Rng(6)
-    p1, p2 = BiLstmParams.create(3, 2, rng), BiLstmParams.create(3, 2, rng)
+    p1, p2 = bilstm(3, 2, rng), bilstm(3, 2, rng)
     lengths1, lengths2 = [2, 5, 1], [4, 1, 3]
     x1 = Tensor(rng.uniform_matrix(3, sum(lengths1), -1.0, 1.0))
     x2 = Tensor(rng.uniform_matrix(3, sum(lengths2), -1.0, 1.0))

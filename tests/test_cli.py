@@ -38,6 +38,8 @@ from nnma.cli import (
 import nnma
 from nnma.corpus import parse_tsv
 from nnma.model import NnmaModel
+from nnma.tensor import Tensor
+from per_op import add
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -582,7 +584,15 @@ class TestGradcheck:
                 assert float(value) < 1e-4
 
     def test_broken_gradient_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("NNMA_TEST_BREAK_GRAD", "1")
+        loss = NnmaModel.loss
+
+        def untracked(model, *args):
+            # A term that tracks b_p outside the recorded graph: the
+            # numeric derivative sees it, backward does not.
+            term = Tensor([[1e-3 * float(model.b_p.data.sum())]])
+            return add(loss(model, *args), term)
+
+        monkeypatch.setattr(NnmaModel, "loss", untracked)
         assert main(["gradcheck", "--dims",
                      "d=2,d_m=2,d_e=2,k=1,len=2,vocab=5"]) == 1
         assert "FAIL" in capsys.readouterr().out

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import per_op
-from nnma.attention import AttentionLevelParams, run_stack
+from nnma.attention import run_stack
 from nnma.corpus import Instance
 from nnma.embeddings import Vocabulary
 from nnma.model import CHUNK, NnmaModel, classify
 from nnma.rng import Rng
 from nnma.tensor import ShapeError, Tensor, grad_check, nll_from_logits, no_grad, scale
 from nnma.trainer import dropout_mask
+from table_params import attention_level
 
 D, D_M, LABELS = 3, 4, ["Comparison", "Contingency", "Expansion", "Temporal"]
 
@@ -22,7 +23,7 @@ def setup(K, lengths1, lengths2, seed, zero_scores=False, masked=True):
     """Random encodings of a batch, K levels, a classifier, a dropout mask
     with zeros in it and a probe that turns the logits into a scalar."""
     rng = Rng(seed)
-    params = [AttentionLevelParams.create(k, D, D_M, rng) for k in range(1, K + 1)]
+    params = [attention_level(k, D, D_M, rng) for k in range(1, K + 1)]
     if zero_scores:
         for p in params:
             p.arg1.w_s.data[:] = 0.0

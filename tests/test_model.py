@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from nnma.cli import main
 from nnma.embeddings import Vocabulary
-from nnma.model import CheckpointError, NnmaModel, Prediction
+from nnma.model import CheckpointError, NnmaModel, ParamSpec, Prediction, parameter_table
 from nnma.rng import Rng
 from nnma.corpus import Instance, synth_generate
 from nnma.tensor import Tensor, grad_check, softmax, topo_order
@@ -253,6 +254,7 @@ class TestHeaderValidation:
         ({"labels": ["Comparison", 1, "Expansion", "Temporal"]}, "labels"),
         ({"vocab": ["<unk>", "t0", "t0", "t2", "t3", "t4", "t5"]}, "vocab"),
         ({"d": 10**9}, "truncated"),
+        ({"k": 10**15}, "truncated"),  # stops at the first row past the payload
     ])
     def test_rejected_before_allocation(self, changes, match):
         with pytest.raises(CheckpointError, match=match):
@@ -294,6 +296,61 @@ def test_golden_checkpoint_bytes():
     assert len(buf.getvalue()) == 6993
     assert hashlib.sha256(buf.getvalue()).hexdigest() == (
         "91c6492e95610588db308aa10428c99d26a949c32d5095d81b9a3b1a885dc88b")
+
+
+@pytest.mark.parametrize("k, size, digest", [
+    (1, 5233, "8e53c10160ac90cd3b498639cf3fa7021d8d07ab81bff5764a8baf1951aba487"),
+    (3, 8753, "787ee029e131ffecd3aaad29ec8a620afe469a49e2e2412ba424978dc61e838b"),
+])
+def test_golden_checkpoint_bytes_at_other_depths(k, size, digest):
+    # The same pin at one and three attention levels; the digests were
+    # taken from the code before the parameter table existed, so they
+    # prove its draw order at every depth.
+    vocab = Vocabulary([f"w{i}" for i in range(5)])
+    model = NnmaModel.create(vocab, LABELS, d_e=3, d=3, d_m=4, k=k, rng=Rng(7))
+    buf = io.BytesIO()
+    model.save(buf)
+    assert len(buf.getvalue()) == size
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_table_drives_parameters_and_payload(self, k):
+        model = tiny_model(seed=15, k=k)
+        table = model.table
+        assert table == list(parameter_table(d_e=2, d=2, d_m=3, k=k, n=4, v=7))
+        names = [spec.name for spec in table]
+        assert len(set(names)) == len(names) == 1 + 32 + 7 * k + 2
+        params = model.parameters()
+        assert [p.shape for p in params] == [spec.shape for spec in table]
+        assert [spec for spec in table if spec.group == "embeddings"] == [
+            ParamSpec("embeddings", (2, 7), "embedding")]
+        assert model.embedding_parameters() == [model.embeddings.weights] == params[:1]
+        assert [id(p) for p in model.network_parameters()] == [id(p) for p in params[1:]]
+        buf = io.BytesIO()
+        model.save(buf)
+        header_len = int.from_bytes(buf.getvalue()[8:16], "little")
+        payload = len(buf.getvalue()) - 16 - header_len
+        assert payload == 8 * sum(rows * cols for rows, cols in (s.shape for s in table))
+
+    def test_names_reach_the_model_fields(self):
+        model = tiny_model(k=2)
+        table = {spec.name: p for spec, p in zip(model.table, model.parameters())}
+        assert table["enc1.forward.W_i"] is model.enc1.forward.W_i
+        assert table["enc2.backward.b_c"] is model.enc2.backward.b_c
+        assert table["level2.arg1.w_b"] is model.levels[1].arg1.w_b
+        assert table["level1.w_m"] is model.levels[0].w_m
+        assert table["classifier.b_p"] is model.b_p
+
+    def test_gradcheck_prints_the_table_groups(self, capsys):
+        assert main(["gradcheck", "--dims", "d=2,d_m=2,d_e=2,k=3,len=2,vocab=5"]) == 0
+        printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        groups = list(dict.fromkeys(spec.group for spec in
+                                    parameter_table(d_e=2, d=2, d_m=2, k=3, n=4, v=5)))
+        assert groups == ["embeddings", "enc1", "enc2", "level1", "level2", "level3",
+                          "classifier"]
+        assert printed == groups + ["max"]
 
 
 def test_training_tape_size_at_overfit_shape():

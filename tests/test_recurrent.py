@@ -5,8 +5,9 @@ import pytest
 
 from nnma.recurrent import BiLstmParams, LstmParams, encode_pair
 from nnma.rng import Rng
-from nnma.tensor import ShapeError, Tensor, _make, add, grad_check, select_columns, topo_order
-from per_op import concat, hadamard, hstack, matmul, sigmoid, sum_all, tanh
+from nnma.tensor import ShapeError, Tensor, _make, grad_check, select_columns, topo_order
+from per_op import add, concat, hadamard, hstack, matmul, sigmoid, sum_all, tanh
+from table_params import bilstm, lstm
 
 
 def lstm_step(x, h_prev, c_prev, p):
@@ -15,11 +16,11 @@ def lstm_step(x, h_prev, c_prev, p):
     The gate input is the stacked vector [x; h_prev], in that order.
     """
     z = concat([x, h_prev])
-    i = sigmoid(matmul(p.W_i, z) + p.b_i)
-    f = sigmoid(matmul(p.W_f, z) + p.b_f)
-    o = sigmoid(matmul(p.W_o, z) + p.b_o)
-    c_hat = tanh(matmul(p.W_c, z) + p.b_c)
-    c = hadamard(i, c_hat) + hadamard(f, c_prev)
+    i = sigmoid(add(matmul(p.W_i, z), p.b_i))
+    f = sigmoid(add(matmul(p.W_f, z), p.b_f))
+    o = sigmoid(add(matmul(p.W_o, z), p.b_o))
+    c_hat = tanh(add(matmul(p.W_c, z), p.b_c))
+    c = add(hadamard(i, c_hat), hadamard(f, c_prev))
     h = hadamard(o, tanh(c))
     return h, c
 
@@ -132,7 +133,7 @@ def zero_params(input_dim, hidden_dim):
 
 
 def random_params(input_dim, hidden_dim, seed):
-    return LstmParams.create(input_dim, hidden_dim, Rng(seed))
+    return lstm(input_dim, hidden_dim, Rng(seed))
 
 
 def random_seq(input_dim, length, seed, requires_grad=False):
@@ -340,7 +341,7 @@ class TestFusedAgainstReference:
 
 class TestBiEncode:
     def test_output_shape(self):
-        p = BiLstmParams.create(3, 4, Rng(30))
+        p = bilstm(3, 4, Rng(30))
         for length in (1, 2, 7):
             seq = random_seq(3, length, seed=40 + length)
             assert bi_encode(seq, p).shape == (8, length)
@@ -351,7 +352,7 @@ class TestBiEncode:
         np.testing.assert_array_equal(bi_encode(seq, p).data, np.zeros((6, 4)))
 
     def test_rows_decompose_into_directions(self):
-        p = BiLstmParams.create(2, 3, Rng(33))
+        p = bilstm(2, 3, Rng(33))
         seq = random_seq(2, 5, seed=42)
         out = bi_encode(seq, p)
         fwd = run_direction(seq, p.forward, reverse=False)
@@ -360,7 +361,7 @@ class TestBiEncode:
         np.testing.assert_array_equal(out.data[3:], bwd.data)
 
     def test_gradient_reaches_every_parameter_and_input(self):
-        p = BiLstmParams.create(3, 2, Rng(34))
+        p = bilstm(3, 2, Rng(34))
         seq = random_seq(3, 4, seed=43, requires_grad=True)
         sum_all(bi_encode(seq, p)).backward()
         for t in p.tensors():
@@ -370,7 +371,7 @@ class TestBiEncode:
         assert np.all(np.any(seq.grad != 0.0, axis=0))
 
     def test_gradient_check_full_encoder(self):
-        p = BiLstmParams.create(2, 2, Rng(35))
+        p = bilstm(2, 2, Rng(35))
         seq = random_seq(2, 3, seed=44, requires_grad=True)
 
         def loss():
@@ -379,7 +380,7 @@ class TestBiEncode:
         assert grad_check(loss, p.tensors() + [seq]) < 1e-6
 
     def test_encoding_bounded(self):
-        p = BiLstmParams.create(3, 4, Rng(36))
+        p = bilstm(3, 4, Rng(36))
         seq = random_seq(3, 10, seed=45)
         out = bi_encode(seq, p)
         assert np.all(np.abs(out.data) < 1.0)
@@ -391,8 +392,8 @@ class TestEncodePair:
     @staticmethod
     def setup_case(lengths, seed, input_dim=5, hidden_dim=3):
         rng = Rng(seed)
-        p1 = BiLstmParams.create(input_dim, hidden_dim, rng)
-        p2 = BiLstmParams.create(input_dim, hidden_dim, rng)
+        p1 = bilstm(input_dim, hidden_dim, rng)
+        p2 = bilstm(input_dim, hidden_dim, rng)
         for t in p1.tensors() + p2.tensors():
             if t.cols == 1:
                 t.data[:] = rng.uniform_matrix(hidden_dim, 1, -0.5, 0.5)
