@@ -9,8 +9,11 @@ and re-reads the argument as the attention-weighted mixture of its word
 encodings. The memory update is recurrent, so pass k sees everything
 passes 1..k-1 extracted.
 
-All weight shapes are in terms of d (encoder hidden size per direction,
-so word encodings have 2d rows) and d_m (memory size).
+Level k's weights are the ``levelk`` group of ``model.parameter_table``:
+the memory update ``w_m``, and per argument (``arg1``, ``arg2``) ``w_a``
+(2d x 2d) on the words, ``w_b`` (2d x d_m) on the memory and the scorer
+``w_s`` (1 x 2d); d is the encoder hidden size per direction, so word
+encodings have 2d rows, and d_m is the memory size.
 
 The stack reads a batch of B instances at once, in the segment layout
 of ``tensor.segments``: an encoding holds every instance's words side
@@ -42,31 +45,12 @@ class GeneralRepr:
     R0_2: Tensor
 
 
-@dataclass
-class ArgAttentionParams(ParamGroup):
-    """Attention weights for one argument at one level."""
-
-    w_a: Tensor  # 2d x 2d, transforms word encodings
-    w_b: Tensor  # 2d x d_m, injects the memory
-    w_s: Tensor  # 1 x 2d, scores each position
-
-
 def memory_input_width(level: int, d: int, d_m: int) -> int:
     """Width of the concatenated memory-update input: [R1, R2, R1-R2]
     gives 6d at level 1; later levels append the previous memory."""
     if level < 1:
         raise ValueError(f"level index starts at 1, got {level}")
     return 6 * d if level == 1 else 6 * d + d_m
-
-
-@dataclass
-class AttentionLevelParams(ParamGroup):
-    """All weights of one attention level: the memory update plus one
-    attention triple per argument."""
-
-    w_m: Tensor
-    arg1: ArgAttentionParams
-    arg2: ArgAttentionParams
 
 
 @dataclass
@@ -126,7 +110,7 @@ def _value(data: np.ndarray) -> Tensor:
     return _make(data, (), None)
 
 
-def _check_shapes(two_d: int, d_m: int, params: Sequence[AttentionLevelParams]) -> None:
+def _check_shapes(two_d: int, d_m: int, params: Sequence[ParamGroup]) -> None:
     for level, p in enumerate(params, start=1):
         width = memory_input_width(level, two_d // 2, d_m)
         if p.w_m.shape != (d_m, width):
@@ -134,13 +118,13 @@ def _check_shapes(two_d: int, d_m: int, params: Sequence[AttentionLevelParams]) 
                              f"for {two_d}-row encodings")
         for q in (p.arg1, p.arg2):
             want = ((two_d, two_d), (two_d, d_m), (1, two_d))
-            if tuple(t.shape for t in q.tensors()) != want:
+            if (q.w_a.shape, q.w_b.shape, q.w_s.shape) != want:
                 raise ShapeError(f"level {level} attention weights do not fit {two_d}-row "
                                  f"encodings and a {d_m}-row memory")
 
 
 def _read(H: np.ndarray, bounds: list[tuple[int, int]], sizes: list[int],
-          M: np.ndarray, q: ArgAttentionParams):
+          M: np.ndarray, q: ParamGroup):
     """One argument's pass: o = tanh(W_a H + W_b (M repeated across each
     instance's columns)), each instance's softmax of its scores W_s o,
     and its read-out H a. Returns (repeated M, o, a, R)."""
@@ -155,7 +139,7 @@ def _read(H: np.ndarray, bounds: list[tuple[int, int]], sizes: list[int],
     return rep, o, a, _join([H[:, s:t] @ a[s:t] for s, t in bounds], 1)
 
 
-def run_stack(h1: Tensor, h2: Tensor, params: list[AttentionLevelParams],
+def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
               lengths1: Sequence[int] | None = None,
               lengths2: Sequence[int] | None = None) -> AttentionTrace:
     """All K attention passes over a batch of encoded argument pairs.

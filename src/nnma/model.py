@@ -44,12 +44,13 @@ from typing import IO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import AttentionLevelParams, AttentionTrace, memory_input_width, run_stack
+from .attention import AttentionTrace, memory_input_width, run_stack
 from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
-from .recurrent import BiLstmParams, encode_pair
+from .recurrent import encode_pair
 from .rng import Rng
-from .tensor import ShapeError, Tensor, _make, nll_from_logits, no_grad, scale, softmax
+from .tensor import (ParamGroup, ShapeError, Tensor, _make, nll_from_logits, no_grad, scale,
+                     softmax)
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
@@ -80,9 +81,10 @@ def parameter_table(d_e: int, d: int, d_m: int, k: int, n: int,
     """The rows for every parameter of a model with these dimensions
     (n labels, v vocabulary entries), in checkpoint and draw order: the
     embeddings, each encoder's forward then backward direction, k
-    attention levels, the classifier. Within a group the rows follow
-    the fields of its parameter dataclass. Rows are made as they are
-    read, so a reader can stop early."""
+    attention levels, the classifier. The layers take their tensors by
+    these names through ``tensor.ParamGroup``, so the names and their
+    order are stated here alone. Rows are made as they are read, so a
+    reader can stop early."""
     yield ParamSpec("embeddings", (d_e, v), "embedding")
     for name in ("enc1.forward", "enc1.backward", "enc2.forward", "enc2.backward"):
         for gate in "ifoc":
@@ -185,10 +187,8 @@ class NnmaModel:
             raise ShapeError("parameters do not match the parameter table")
         named = {spec.name: t for spec, t in zip(self.table, self._tensors)}
         self.embeddings = EmbeddingMatrix(named["embeddings"], d_e)
-        self.enc1 = BiLstmParams.named("enc1", named)
-        self.enc2 = BiLstmParams.named("enc2", named)
-        self.levels = [AttentionLevelParams.named(f"level{level}", named)
-                       for level in range(1, k + 1)]
+        self.enc1, self.enc2 = ParamGroup("enc1", named), ParamGroup("enc2", named)
+        self.levels = [ParamGroup(f"level{level}", named) for level in range(1, k + 1)]
         self.w_p, self.b_p = named["classifier.w_p"], named["classifier.b_p"]
 
     @classmethod

@@ -1,4 +1,4 @@
-"""LSTM parameters and the bidirectional encoders of both arguments.
+"""The bidirectional LSTM encoders of both arguments.
 
 Each argument is read by its own bidirectional LSTM: a forward and a
 backward direction, each threading (h, c) along the words from zero
@@ -12,47 +12,20 @@ Kocisky & Blunsom, "Optimizing Performance of Recurrent Neural Networks
 on GPUs", arXiv:1604.01946: fewer, larger products, independent
 recurrences in one pass).
 
-Each argument has its own BiLstmParams; nothing here is shared between
-the two encoders.
+Each argument has its own encoder, the ``enc1`` or ``enc2`` group of
+``model.parameter_table``: a ``forward`` and a ``backward`` direction,
+each with gate weights ``W_i``, ``W_f``, ``W_o``, ``W_c`` and biases
+``b_i`` to ``b_c``. Nothing is shared between the two encoders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .tensor import (ParamGroup, ShapeError, Tensor, _make, column_block, recording,
                      segments, spans)
-
-
-@dataclass
-class LstmParams(ParamGroup):
-    """Gate projections for one direction.
-
-    Each W_* maps the concatenated [input; previous hidden] vector of
-    length input_dim + hidden_dim to the hidden dimension.
-    """
-
-    W_i: Tensor
-    W_f: Tensor
-    W_o: Tensor
-    W_c: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_c: Tensor
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_i.rows
-
-
-@dataclass
-class BiLstmParams(ParamGroup):
-    forward: LstmParams
-    backward: LstmParams
 
 
 def _reading_rows(x: np.ndarray, bounds: list[tuple[int, int]], backward: bool) -> np.ndarray:
@@ -112,7 +85,7 @@ def _forward(x1: np.ndarray, x2: np.ndarray, W_x: np.ndarray, W_h: np.ndarray,
     return out, ((X, gates, cells, tanh_c, hidden) if record else None)
 
 
-def encode_pair(x1: Tensor, x2: Tensor, p1: BiLstmParams, p2: BiLstmParams,
+def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
                 lengths1: Sequence[int] | None = None,
                 lengths2: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
     """Bidirectional encodings (h1, h2) of a batch of argument pairs.
@@ -143,7 +116,7 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: BiLstmParams, p2: BiLstmParams,
     backward pass reads are not kept. h1 and h2 are two column blocks
     of the operation's 2d x (N1 + N2) output.
     """
-    n_in, d = x1.rows, p1.forward.hidden_dim
+    n_in, d = x1.rows, p1.forward.W_i.rows
     if min(x1.cols, x2.cols) == 0:
         raise ValueError("encode_pair needs at least one word in each argument")
     if x2.rows != n_in:

@@ -165,10 +165,8 @@ class Rng:
         for _ in range(4):
             sm, word = _splitmix64(sm)
             s.append(word)
-        # xoshiro256** requires a nonzero state; SplitMix64 never emits
-        # four zero words for any seed, but guard anyway.
-        if not any(s):
-            s[0] = 1
+        # Never all zero, as xoshiro256** needs: SplitMix64's output mix is
+        # a bijection and the four states differ, so at most one word is 0.
         self._s = s
 
     def next_u64(self) -> int:

@@ -25,8 +25,7 @@ differences and is the verification oracle for everything built on top.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import fields
-from typing import Callable, Mapping, Sequence, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -201,30 +200,27 @@ class ColumnGrad:
 
 
 class ParamGroup:
-    """Base of the parameter dataclasses (``recurrent.LstmParams`` and the
-    like): each field is a ``Tensor`` or a nested group. A field's full
-    name is its group's name, a dot and the field's name, as in the rows
-    of ``model.parameter_table``, which list them in field order."""
+    """The tensors of ``named`` (a mapping from ``model.parameter_table``
+    names, in the table's order) whose names start with ``prefix`` and a
+    dot. Each next name component is an attribute: the tensor itself, or
+    the group one level down, so ``ParamGroup("enc1", named).forward.W_i``
+    is ``named["enc1.forward.W_i"]``."""
+
+    def __init__(self, prefix: str, named: Mapping[str, Tensor]):
+        start = prefix + "."
+        self._tensors = []
+        for name, t in named.items():
+            if name.startswith(start):
+                self._tensors.append(t)
+                head, dot, _ = name[len(start):].partition(".")
+                if not dot:
+                    setattr(self, head, t)
+                elif head not in vars(self):
+                    setattr(self, head, ParamGroup(start + head, named))
 
     def tensors(self) -> list[Tensor]:
-        """Every tensor of the group in field order, nested groups flattened."""
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out += value.tensors() if isinstance(value, ParamGroup) else [value]
-        return out
-
-    @classmethod
-    def named(cls, prefix: str, tensors: Mapping[str, Tensor]):
-        """The group called ``prefix``: field ``x`` is ``tensors[prefix + ".x"]``,
-        or the nested group called ``prefix + ".x"``."""
-        kinds = get_type_hints(cls)
-        values = []
-        for f in fields(cls):
-            name, kind = f"{prefix}.{f.name}", kinds[f.name]
-            values.append(kind.named(name, tensors) if issubclass(kind, ParamGroup)
-                          else tensors[name])
-        return cls(*values)
+        """Every tensor of the group, in the table's order."""
+        return list(self._tensors)
 
 
 def topo_order(root: Tensor) -> list[Tensor]:

@@ -29,7 +29,7 @@ from .tensor import Tensor
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradient became non-finite; message names epoch and instance."""
+    """Non-finite loss or gradient; the message names epoch, instance and parameter."""
 
 
 @dataclass
@@ -156,11 +156,11 @@ def train_step(model, instance, gold: int, weight: float,
     if not np.isfinite(value):
         raise TrainingDiverged("non-finite loss")
     loss.backward()
-    for p in model.parameters():
+    for spec, p in zip(model.table, model.parameters()):
         grad, cols = p.grad, p.grad_columns
         if grad is not None and not np.isfinite(grad if cols is None
                                                  else grad[:, cols]).all():
-            raise TrainingDiverged("non-finite gradient")
+            raise TrainingDiverged(f"non-finite gradient in {spec.name}")
     opt_net.step()
     opt_emb.step()
     return value

@@ -15,12 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from nnma.attention import (ArgAttentionParams, AttentionLevelParams, AttentionTrace,
-                            GeneralRepr, LevelOutput)
+from nnma.attention import AttentionTrace, GeneralRepr, LevelOutput
 from nnma.embeddings import embed_sequence
 from nnma.model import Prediction
 from nnma.recurrent import encode_pair
-from nnma.tensor import ShapeError, Tensor, _make, segments, softmax, spans
+from nnma.tensor import ParamGroup, ShapeError, Tensor, _make, segments, softmax, spans
 
 
 # -- primitive operations -----------------------------------------------------
@@ -241,20 +240,20 @@ def general_repr(h1: Tensor, h2: Tensor, lengths1: Sequence[int] | None = None,
     return GeneralRepr(mean_cols(h1, lengths1), mean_cols(h2, lengths2))
 
 
-def memory_first(g: GeneralRepr, p: AttentionLevelParams) -> Tensor:
+def memory_first(g: GeneralRepr, p: ParamGroup) -> Tensor:
     """M_1 = tanh(W_m [R0_1; R0_2; R0_1 - R0_2]); no bias term."""
     stacked = concat([g.R0_1, g.R0_2, sub(g.R0_1, g.R0_2)])
     return tanh(matmul(p.w_m, stacked))
 
 
 def memory_next(r1_prev: Tensor, r2_prev: Tensor, m_prev: Tensor,
-                p: AttentionLevelParams) -> Tensor:
+                p: ParamGroup) -> Tensor:
     """M_k = tanh(W_m [R1; R2; R1 - R2; M_prev]) for levels k >= 2."""
     stacked = concat([r1_prev, r2_prev, sub(r1_prev, r2_prev), m_prev])
     return tanh(matmul(p.w_m, stacked))
 
 
-def attend(h: Tensor, M: Tensor, p: ArgAttentionParams,
+def attend(h: Tensor, M: Tensor, p: ParamGroup,
            lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
     """Memory-conditioned attention over one argument: o = tanh(W_a h +
     W_b (M repeated across each instance's L columns)); a = softmax of
@@ -266,7 +265,7 @@ def attend(h: Tensor, M: Tensor, p: ArgAttentionParams,
     return a, segment_matvec(h, a, sizes)
 
 
-def run_stack(h1: Tensor, h2: Tensor, params: list[AttentionLevelParams],
+def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
               lengths1: Sequence[int] | None = None,
               lengths2: Sequence[int] | None = None) -> AttentionTrace:
     """All K passes, one recorded node per product. ``final`` is a

@@ -5,7 +5,7 @@ from nnma.attention import GeneralRepr, memory_input_width, run_stack
 from nnma.rng import Rng
 from nnma.tensor import Tensor, grad_check
 from per_op import attend, general_repr, mean_cols, memory_first, memory_next, sum_all
-from table_params import arg_attention, attention_level
+from table_params import drawn
 
 
 def rand_matrix(rows, cols, seed, requires_grad=False):
@@ -14,7 +14,7 @@ def rand_matrix(rows, cols, seed, requires_grad=False):
 
 
 def level_params(level, d, d_m, seed):
-    return attention_level(level, d, d_m, Rng(seed))
+    return drawn(f"level{level}", Rng(seed), d=d, d_m=d_m, k=level)
 
 
 def zero_scores(params):
@@ -26,7 +26,7 @@ def zero_scores(params):
 
 def stack_params(K, d, d_m, seed):
     rng = Rng(seed)
-    return [attention_level(k, d, d_m, rng) for k in range(1, K + 1)]
+    return [drawn(f"level{k}", rng, d=d, d_m=d_m, k=k) for k in range(1, K + 1)]
 
 
 class TestGeneralRepr:
@@ -142,7 +142,7 @@ class TestMemoryInputWidth:
 class TestAttend:
     def test_zero_scores_give_uniform_and_exact_mean(self):
         d, d_m, L = 2, 3, 5
-        p = arg_attention(d, d_m, Rng(30))
+        p = drawn("level1.arg1", Rng(30), d=d, d_m=d_m)
         p.w_s.data[:] = 0.0
         h = rand_matrix(2 * d, L, 31)
         M = rand_matrix(d_m, 1, 32)
@@ -152,7 +152,7 @@ class TestAttend:
 
     def test_single_word(self):
         d, d_m = 2, 3
-        p = arg_attention(d, d_m, Rng(33))
+        p = drawn("level1.arg1", Rng(33), d=d, d_m=d_m)
         h = rand_matrix(2 * d, 1, 34)
         a, r = attend(h, rand_matrix(d_m, 1, 35), p)
         assert a.data.tolist() == [[1.0]]
@@ -160,7 +160,7 @@ class TestAttend:
 
     def test_weighted_sum_matches_explicit_loop(self):
         d, d_m, L = 3, 4, 6
-        p = arg_attention(d, d_m, Rng(36))
+        p = drawn("level1.arg1", Rng(36), d=d, d_m=d_m)
         h = rand_matrix(2 * d, L, 37)
         a, r = attend(h, rand_matrix(d_m, 1, 38), p)
         expected = np.zeros((2 * d, 1))
@@ -170,7 +170,7 @@ class TestAttend:
 
     def test_distribution_properties(self):
         d, d_m, L = 2, 3, 7
-        p = arg_attention(d, d_m, Rng(39))
+        p = drawn("level1.arg1", Rng(39), d=d, d_m=d_m)
         h = rand_matrix(2 * d, L, 40)
         a, _ = attend(h, rand_matrix(d_m, 1, 41), p)
         assert np.all(a.data >= 0.0)
@@ -178,7 +178,7 @@ class TestAttend:
 
     def test_representation_in_convex_hull(self):
         d, d_m, L = 2, 3, 5
-        p = arg_attention(d, d_m, Rng(42))
+        p = drawn("level1.arg1", Rng(42), d=d, d_m=d_m)
         h = rand_matrix(2 * d, L, 43)
         _, r = attend(h, rand_matrix(d_m, 1, 44), p)
         lo = h.data.min(axis=1, keepdims=True)

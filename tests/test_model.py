@@ -335,13 +335,30 @@ class TestParameterTable:
         assert payload == 8 * sum(rows * cols for rows, cols in (s.shape for s in table))
 
     def test_names_reach_the_model_fields(self):
-        model = tiny_model(k=2)
-        table = {spec.name: p for spec, p in zip(model.table, model.parameters())}
-        assert table["enc1.forward.W_i"] is model.enc1.forward.W_i
-        assert table["enc2.backward.b_c"] is model.enc2.backward.b_c
-        assert table["level2.arg1.w_b"] is model.levels[1].arg1.w_b
-        assert table["level1.w_m"] is model.levels[0].w_m
-        assert table["classifier.b_p"] is model.b_p
+        # Every encoder and level row is reached by its dotted name as an
+        # attribute path, and every group on such a path (``enc1``,
+        # ``enc1.forward``, ``level2.arg1``, ...) lists exactly its rows.
+        for k in (1, 2, 3):
+            model = tiny_model(k=k)
+            tops = {"enc1": model.enc1, "enc2": model.enc2}
+            tops.update((f"level{i}", level) for i, level in enumerate(model.levels, 1))
+            rows = list(zip(model.table, model.parameters()))
+            resolved = 0
+            for spec, p in rows:
+                parts = spec.name.split(".")
+                if parts[0] not in tops:
+                    continue
+                node = tops[parts[0]]
+                for j, part in enumerate(parts[1:], start=1):
+                    prefix = ".".join(parts[:j]) + "."
+                    assert [id(t) for t in node.tensors()] == [
+                        id(q) for s, q in rows if s.name.startswith(prefix)], prefix
+                    node = getattr(node, part)
+                assert node is p, spec.name
+                resolved += 1
+            assert resolved == 32 + 7 * k
+            assert model.embeddings.weights is rows[0][1]
+            assert (model.w_p, model.b_p) == tuple(p for _, p in rows[-2:])
 
     def test_gradcheck_prints_the_table_groups(self, capsys):
         assert main(["gradcheck", "--dims", "d=2,d_m=2,d_e=2,k=3,len=2,vocab=5"]) == 0

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nnma.recurrent import BiLstmParams, LstmParams, encode_pair
+from nnma.model import parameter_table
+from nnma.recurrent import encode_pair
 from nnma.rng import Rng
-from nnma.tensor import ShapeError, Tensor, _make, grad_check, select_columns, topo_order
+from nnma.tensor import (ParamGroup, ShapeError, Tensor, _make, grad_check, select_columns,
+                         topo_order)
 from per_op import add, concat, hadamard, hstack, matmul, sigmoid, sum_all, tanh
-from table_params import bilstm, lstm
+from table_params import drawn
 
 
 def lstm_step(x, h_prev, c_prev, p):
@@ -27,7 +29,7 @@ def lstm_step(x, h_prev, c_prev, p):
 
 def unrolled_direction(seq, p, reverse=False):
     """Reference direction run: one ``lstm_step`` graph per word."""
-    d = p.hidden_dim
+    d = p.W_i.rows
     h = Tensor.zeros(d, 1)
     c = Tensor.zeros(d, 1)
     order = range(seq.cols - 1, -1, -1) if reverse else range(seq.cols)
@@ -57,7 +59,7 @@ def run_direction(seq, p, reverse=False):
     length = seq.cols
     if length == 0:
         raise ValueError("run_direction needs at least one word")
-    d = p.hidden_dim
+    d = p.W_i.rows
     n_in = seq.rows
     params = p.tensors()
     W = np.concatenate([t.data for t in params[:4]], axis=0)
@@ -125,15 +127,16 @@ def bi_encode(seq, p):
     return concat([fwd, bwd])
 
 
-def zero_params(input_dim, hidden_dim):
-    width = input_dim + hidden_dim
-    mats = [Tensor.zeros(hidden_dim, width, requires_grad=True) for _ in range(4)]
-    vecs = [Tensor.zeros(hidden_dim, 1, requires_grad=True) for _ in range(4)]
-    return LstmParams(*mats, *vecs)
+def zero_params(input_dim, hidden_dim, prefix="enc1.forward"):
+    """The table rows under ``prefix`` (one direction, or ``enc1`` for
+    both), all zero."""
+    rows = parameter_table(input_dim, hidden_dim, d_m=1, k=1, n=2, v=1)
+    return ParamGroup(prefix, {spec.name: Tensor.zeros(*spec.shape, requires_grad=True)
+                               for spec in rows})
 
 
 def random_params(input_dim, hidden_dim, seed):
-    return lstm(input_dim, hidden_dim, Rng(seed))
+    return drawn("enc1.forward", Rng(seed), d_e=input_dim, d=hidden_dim)
 
 
 def random_seq(input_dim, length, seed, requires_grad=False):
@@ -341,18 +344,18 @@ class TestFusedAgainstReference:
 
 class TestBiEncode:
     def test_output_shape(self):
-        p = bilstm(3, 4, Rng(30))
+        p = drawn("enc1", Rng(30), d_e=3, d=4)
         for length in (1, 2, 7):
             seq = random_seq(3, length, seed=40 + length)
             assert bi_encode(seq, p).shape == (8, length)
 
     def test_zero_parameters_give_zero_matrix(self):
-        p = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
+        p = zero_params(2, 3, "enc1")
         seq = random_seq(2, 4, seed=41)
         np.testing.assert_array_equal(bi_encode(seq, p).data, np.zeros((6, 4)))
 
     def test_rows_decompose_into_directions(self):
-        p = bilstm(2, 3, Rng(33))
+        p = drawn("enc1", Rng(33), d_e=2, d=3)
         seq = random_seq(2, 5, seed=42)
         out = bi_encode(seq, p)
         fwd = run_direction(seq, p.forward, reverse=False)
@@ -361,7 +364,7 @@ class TestBiEncode:
         np.testing.assert_array_equal(out.data[3:], bwd.data)
 
     def test_gradient_reaches_every_parameter_and_input(self):
-        p = bilstm(3, 2, Rng(34))
+        p = drawn("enc1", Rng(34), d_e=3, d=2)
         seq = random_seq(3, 4, seed=43, requires_grad=True)
         sum_all(bi_encode(seq, p)).backward()
         for t in p.tensors():
@@ -371,7 +374,7 @@ class TestBiEncode:
         assert np.all(np.any(seq.grad != 0.0, axis=0))
 
     def test_gradient_check_full_encoder(self):
-        p = bilstm(2, 2, Rng(35))
+        p = drawn("enc1", Rng(35), d_e=2, d=2)
         seq = random_seq(2, 3, seed=44, requires_grad=True)
 
         def loss():
@@ -380,7 +383,7 @@ class TestBiEncode:
         assert grad_check(loss, p.tensors() + [seq]) < 1e-6
 
     def test_encoding_bounded(self):
-        p = bilstm(3, 4, Rng(36))
+        p = drawn("enc1", Rng(36), d_e=3, d=4)
         seq = random_seq(3, 10, seed=45)
         out = bi_encode(seq, p)
         assert np.all(np.abs(out.data) < 1.0)
@@ -392,8 +395,8 @@ class TestEncodePair:
     @staticmethod
     def setup_case(lengths, seed, input_dim=5, hidden_dim=3):
         rng = Rng(seed)
-        p1 = bilstm(input_dim, hidden_dim, rng)
-        p2 = bilstm(input_dim, hidden_dim, rng)
+        p1 = drawn("enc1", rng, d_e=input_dim, d=hidden_dim)
+        p2 = drawn("enc1", rng, d_e=input_dim, d=hidden_dim)
         for t in p1.tensors() + p2.tensors():
             if t.cols == 1:
                 t.data[:] = rng.uniform_matrix(hidden_dim, 1, -0.5, 0.5)
@@ -470,20 +473,20 @@ class TestEncodePair:
 
     @pytest.mark.parametrize("lengths", [(0, 3), (3, 0)])
     def test_empty_argument_rejected(self, lengths):
-        p = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
+        p = zero_params(2, 3, "enc1")
         x1, x2 = (Tensor(np.zeros((2, n))) for n in lengths)
         with pytest.raises(ValueError):
             encode_pair(x1, x2, p, p)
 
     def test_gate_width_mismatch_rejected(self):
-        p = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
+        p = zero_params(2, 3, "enc1")
         x = Tensor.zeros(5, 4)
         with pytest.raises(ShapeError):
             encode_pair(x, x, p, p)
 
     def test_hidden_size_mismatch_rejected(self):
-        p1 = BiLstmParams(zero_params(2, 3), zero_params(2, 3))
-        p2 = BiLstmParams(zero_params(2, 4), zero_params(2, 4))
+        p1 = zero_params(2, 3, "enc1")
+        p2 = zero_params(2, 4, "enc1")
         x = Tensor.zeros(2, 4)
         with pytest.raises(ShapeError):
             encode_pair(x, x, p1, p2)

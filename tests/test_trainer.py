@@ -215,9 +215,28 @@ class TestTrainStep:
         opt_net = MomentumSgd(model.network_parameters(), 0.1, 0.9)
         opt_emb = MomentumSgd(model.embedding_parameters(), 0.1, 0.9)
         before = emb.data.copy()
-        with pytest.raises(TrainingDiverged, match="non-finite gradient"):
+        with pytest.raises(TrainingDiverged, match="non-finite gradient in embeddings$"):
             train_step(model, inst, 0, 1.0, opt_net, opt_emb, None)
         np.testing.assert_array_equal(emb.data, before)
+
+    @pytest.mark.parametrize("name", ["enc2.backward.b_f", "level1.arg1.w_b", "classifier.w_p"])
+    def test_nan_in_network_gradient_names_the_row(self, monkeypatch, name):
+        model, ds = tiny_setup()
+        target = dict(zip((spec.name for spec in model.table), model.parameters()))[name]
+        backward = Tensor.backward
+
+        def poisoned(loss):
+            backward(loss)
+            target.grad[0, 0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        opt_net = MomentumSgd(model.network_parameters(), 0.1, 0.9)
+        opt_emb = MomentumSgd(model.embedding_parameters(), 0.1, 0.9)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(TrainingDiverged, match=f"non-finite gradient in {name}$"):
+            train_step(model, ds.instances[0], 0, 1.0, opt_net, opt_emb, None)
+        for p, kept in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, kept)
 
 
 class TestDropoutMask:
@@ -338,6 +357,20 @@ class TestFit:
         model, ds = tiny_setup(seed=10)
         model.embeddings.weights.data[:] = np.nan
         with pytest.raises(TrainingDiverged, match=r"epoch 1, instance \d+"):
+            fit(model, ds, ds, tiny_hp())
+
+    def test_non_finite_gradient_names_epoch_instance_and_row(self, monkeypatch):
+        model, ds = tiny_setup(seed=10)
+        w_m = model.levels[0].w_m
+        backward = Tensor.backward
+
+        def poisoned(loss):
+            backward(loss)
+            w_m.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(Tensor, "backward", poisoned)
+        with pytest.raises(TrainingDiverged,
+                           match=r"^epoch 1, instance \d+: non-finite gradient in level1\.w_m$"):
             fit(model, ds, ds, tiny_hp())
 
     def test_weight_count_mismatch_rejected(self):
