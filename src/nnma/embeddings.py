@@ -18,11 +18,17 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .rng import Rng
 from .tensor import Tensor, select_columns
 
 UNKNOWN_TOKEN = "<unk>"
 INIT_SCALE = 0.05
+# ``EmbeddingMatrix.random`` draws in a few large blocks: each block costs
+# about one pass of the generator's lanes (5-8 ms) whatever its size.
+DRAW_BLOCKS = 4
+DRAW_BLOCK_WORDS = 1 << 15
 
 
 def normalize_token(raw: str) -> str:
@@ -107,9 +113,20 @@ class EmbeddingMatrix:
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng: Rng) -> "EmbeddingMatrix":
         """All columns from the uniform [-0.05, 0.05] scheme, drawn
-        column by column in index order."""
-        data = rng.uniform_matrix(len(vocab), dim, -INIT_SCALE, INIT_SCALE).T.copy()
-        return cls(Tensor(data, requires_grad=True), dim)
+        column by column in index order. The draw runs in at most
+        ``DRAW_BLOCKS`` blocks of columns of about ``DRAW_BLOCK_WORDS``
+        words or more, each written transposed into place, so no second
+        dim x V matrix is held. One stream read in order gives the values
+        and the generator state of a single draw."""
+        v = len(vocab)
+        blocks = max(1, min(DRAW_BLOCKS, v * dim // DRAW_BLOCK_WORDS))
+        step = -(-v // blocks)
+        data = np.empty((dim, v))
+        for start in range(0, v, step):
+            cols = min(step, v - start)
+            data[:, start:start + cols] = rng.uniform_matrix(cols, dim, -INIT_SCALE,
+                                                             INIT_SCALE).T
+        return cls(Tensor.owning(data, requires_grad=True), dim)
 
 
 @dataclass

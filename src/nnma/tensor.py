@@ -14,9 +14,10 @@ that requires them. A leaf is a tensor no recorded operation produced,
 such as a parameter or an input; intermediate results pass their
 adjoint on and keep no ``.grad``. A column lookup's backward yields a
 compact ``ColumnGrad`` (the touched columns only), so a parameter read
-a few columns at a time never sees a dense adjoint; its ``.grad`` is
-still a dense array, and ``grad_columns`` names the columns that can be
-nonzero.
+a few columns at a time never sees a dense adjoint. Such a leaf keeps
+its gradient compact, one block over the columns that can be nonzero
+(``grad_columns``); ``compact_grad`` hands out that block, and ``.grad``
+builds the dense array only when it is first read.
 
 ``grad_check`` compares those partials against central finite
 differences and is the verification oracle for everything built on top.
@@ -41,16 +42,20 @@ class Tensor:
         data: the (rows, cols) float64 array. 1-D input is treated as a
             column vector, scalars as 1x1.
         requires_grad: whether backward should deliver a gradient here.
-        grad: accumulated partial derivatives, same shape as ``data``;
-            ``None`` until a backward pass reaches this tensor, and always
-            ``None`` on the result of a recorded operation: only leaves
-            (parameters and inputs) receive one. Repeated backward calls
+        grad: accumulated partial derivatives, a dense array of the
+            shape of ``data``; ``None`` until a backward pass reaches this
+            tensor, and always ``None`` on the result of a recorded
+            operation: only leaves (parameters and inputs) receive one.
+            A gradient kept compact (see ``grad_columns``) is made dense
+            on the first read and stays dense. Repeated backward calls
             keep adding; call ``zero_grad`` between steps.
         grad_columns: sorted columns outside which ``grad`` is zero, set
             when one backward pass reached this leaf only through column
-            lookups; ``None`` means any column. Setting ``grad`` (also
-            ``+=`` on it) or accumulating a second backward pass resets it
-            to ``None``, so it never restricts a gradient it did not see.
+            lookups; the gradient is then kept as one block over these
+            columns until ``grad`` is read. ``None`` means any column.
+            Setting ``grad`` (also ``+=`` on it) or accumulating a second
+            backward pass resets it to ``None``, so it never restricts a
+            gradient it did not see.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "_grad_columns", "_parents", "_vjp")
@@ -68,7 +73,7 @@ class Tensor:
     def _adopt(self, arr: np.ndarray, requires_grad: bool) -> None:
         self.data = arr
         self.requires_grad = requires_grad
-        self._grad: np.ndarray | None = None
+        self._grad: np.ndarray | ColumnGrad | None = None
         self._grad_columns: list[int] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
@@ -78,6 +83,14 @@ class Tensor:
     @staticmethod
     def zeros(rows: int, cols: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.zeros((rows, cols)), requires_grad=requires_grad)
+
+    @staticmethod
+    def owning(data: np.ndarray, requires_grad: bool = False) -> "Tensor":
+        """A tensor over ``data`` itself, not a copy: a 2-D float64 array
+        made for this tensor alone, such as a large matrix drawn in place."""
+        out = Tensor.__new__(Tensor)
+        out._adopt(data, requires_grad)
+        return out
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -98,6 +111,8 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
+        if type(self._grad) is ColumnGrad:
+            self._grad = self._grad.dense()
         return self._grad
 
     @grad.setter
@@ -108,6 +123,19 @@ class Tensor:
     @property
     def grad_columns(self) -> list[int] | None:
         return self._grad_columns
+
+    @property
+    def compact_grad(self) -> tuple[list[int] | np.ndarray | None, np.ndarray | None]:
+        """``(grad_columns, grad[:, grad_columns])`` (the columns as an
+        index array and the kept block itself while ``grad`` has not been
+        read); ``(None, grad)`` when any column may be nonzero, and
+        ``(None, None)`` with no gradient. Never makes the dense ``grad``."""
+        g, cols = self._grad, self._grad_columns
+        if type(g) is ColumnGrad:
+            return cols, g.parts[0][1]
+        if g is None or cols is None:
+            return None, g
+        return cols, g[:, cols]
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -151,14 +179,15 @@ class Tensor:
                 continue
             if type(g) is ColumnGrad:
                 if node._grad is None:
-                    node._grad = g.dense()
-                    node._grad_columns = g.columns()
+                    node._grad = g.merged()
+                    node._grad_columns = node._grad.parts[0][0].tolist()
                     continue
                 g = g.dense()
             if node._grad is None:
                 node._grad = g.copy()
             else:
-                node._grad += g
+                grad = node.grad  # a kept block is made dense here
+                grad += g
             node._grad_columns = None
 
 
@@ -170,7 +199,8 @@ class ColumnGrad:
     distinct column indices and ``block`` is the (rows x len(cols))
     adjoint for them. ``dense()`` starts from zeros and adds the parts
     in that order, the same float additions as summing each lookup's
-    dense scatter left to right, so the two paths agree bitwise.
+    dense scatter left to right, so the two paths agree bitwise;
+    ``merged()`` makes the same sums over the used columns alone.
     Adding a dense array from either side densifies first.
     """
 
@@ -183,6 +213,18 @@ class ColumnGrad:
 
     def columns(self) -> list[int]:
         return sorted({c for cols, _ in self.parts for c in cols})
+
+    def merged(self) -> "ColumnGrad":
+        """The parts as one: every used column, sorted, as an index array,
+        with a block that starts from zeros and adds the parts in order.
+        Its ``dense()`` is this one's bit for bit, signed zeros and
+        repeated columns alike, since a sum that starts from +0.0 is
+        never -0.0."""
+        cols = np.array(self.columns(), dtype=np.intp)
+        block = np.zeros((self.shape[0], cols.size))
+        for part_cols, part in self.parts:
+            block[:, np.searchsorted(cols, part_cols)] += part
+        return ColumnGrad(self.shape, [(cols, block)])
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -280,8 +322,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     ``recording(parents)``. ``data`` is kept as it is, not copied, so it
     must be a 2-D float64 array the operation made itself, never a view
     of an input."""
-    out = Tensor.__new__(Tensor)
-    out._adopt(data, False)
+    out = Tensor.owning(data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents

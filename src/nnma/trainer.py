@@ -72,8 +72,10 @@ class MomentumSgd:
     Per step: v <- momentum * v - rate * grad; theta <- theta + v.
     A parameter whose grad is unset contributes a zero gradient (its
     velocity still decays). Where the gradient names its nonzero columns
-    (``grad_columns``, from embedding lookups), only those columns are
-    subtracted: elsewhere ``v - rate * 0.0`` is ``v`` bit for bit.
+    (``grad_columns``, from embedding lookups), the step reads only their
+    compact block, never the dense ``grad``, and subtracts it in those
+    columns alone (elsewhere ``v - rate * 0.0`` is ``v`` bit for bit), in
+    one ``sweep`` over v and theta.
     """
 
     def __init__(self, params: list[Tensor], rate: float, momentum: float):
@@ -84,18 +86,45 @@ class MomentumSgd:
 
     def step(self) -> None:
         for p, v in zip(self.params, self.velocities):
-            v *= self.momentum
-            grad = p.grad
+            cols, grad = p.compact_grad
             if grad is not None:
-                if grad.shape != v.shape:
+                want = v.shape if cols is None else (v.shape[0], len(cols))
+                if grad.shape != want:
                     raise ValueError(f"gradient shape {grad.shape} != "
-                                     f"parameter shape {v.shape}")
-                cols = p.grad_columns
-                if cols is None:
-                    v -= self.rate * grad
-                else:
-                    v[:, cols] -= self.rate * grad[:, cols]
+                                     f"parameter shape {want}")
+            if cols is not None:
+                sweep(v, p.data, self.momentum, cols, self.rate * grad)
+                continue
+            v *= self.momentum
+            if grad is not None:
+                v -= self.rate * grad
             p.data += v
+
+
+SWEEP_WORDS = 1 << 16  # entries of v per sweep block: its block and theta's stay in L2
+
+
+def sweep(v: np.ndarray, theta: np.ndarray, momentum: float,
+          cols: np.ndarray | list[int], scaled: np.ndarray) -> None:
+    """``v *= momentum; v[:, cols] -= scaled; theta += v`` in one pass over
+    memory. The used columns' new v and theta are computed first, from
+    their old values; then ``v *= momentum; theta += v`` runs a block of
+    whole rows at a time, about ``SWEEP_WORDS`` entries (one row if a row
+    is longer), so each block of v is still in cache when theta reads
+    it; the used columns are written last. Each entry gets the float
+    operations of the three whole-array passes, so the same bits."""
+    v_used = v[:, cols]
+    v_used *= momentum
+    v_used -= scaled
+    theta_used = theta[:, cols]
+    theta_used += v_used
+    step = max(1, SWEEP_WORDS // v.shape[1])
+    for r in range(0, v.shape[0], step):
+        block = v[r:r + step]
+        block *= momentum
+        theta[r:r + step] += block
+    v[:, cols] = v_used
+    theta[:, cols] = theta_used
 
 
 def dropout_mask(dim: int, q: float, rng: Rng) -> Tensor:
@@ -157,9 +186,8 @@ def train_step(model, instance, gold: int, weight: float,
         raise TrainingDiverged("non-finite loss")
     loss.backward()
     for spec, p in zip(model.table, model.parameters()):
-        grad, cols = p.grad, p.grad_columns
-        if grad is not None and not np.isfinite(grad if cols is None
-                                                 else grad[:, cols]).all():
+        grad = p.compact_grad[1]
+        if grad is not None and not np.isfinite(grad).all():
             raise TrainingDiverged(f"non-finite gradient in {spec.name}")
     opt_net.step()
     opt_emb.step()

@@ -7,6 +7,11 @@ the stack and the head as one operation each, with hand-written
 backward passes (``nnma.attention.run_stack``, ``nnma.model.classify``);
 this module keeps the old graph as the oracle those operations must
 match bit for bit, in every value and every gradient.
+
+It also keeps the column lookup with a dense backward
+(``select_columns``) and the momentum step as three whole-array passes
+(``MomentumSgd``): together the oracle for a lookup gradient kept as a
+compact block and ``nnma.trainer.MomentumSgd``'s one cache-blocked sweep.
 """
 
 from __future__ import annotations
@@ -220,6 +225,19 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _make(x.data + b.data, (x, b), vjp)
 
 
+def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
+    """The lookup with the dense backward it had before ``ColumnGrad``:
+    a zero matrix of the source's shape, scatter-added per lookup."""
+    idx = list(indices)
+
+    def vjp(g: np.ndarray):
+        grad = np.zeros_like(m.data)
+        np.add.at(grad, (slice(None), idx), g)
+        return (grad,)
+
+    return _make(m.data[:, idx], (m,), vjp)
+
+
 def sum_all(x: Tensor) -> Tensor:
     """Sum of every entry, as a 1x1 scalar."""
     out = np.array([[x.data.sum()]])
@@ -316,3 +334,25 @@ def forward_batch(model, instances, dropout_mask: Tensor | None = None) -> Predi
     probabilities = softmax(logits)
     return Prediction(probabilities, np.argmax(probabilities.data, axis=0).tolist(),
                       trace, logits)
+
+
+# -- the optimizer step, three whole-array passes ----------------------------------
+
+
+class MomentumSgd:
+    """v <- momentum * v - rate * grad; theta <- theta + v, as three passes
+    over each whole parameter: ``v *= momentum``, ``v -= rate * grad``
+    over the dense gradient, ``theta += v``."""
+
+    def __init__(self, params: list[Tensor], rate: float, momentum: float):
+        self.params = params
+        self.rate = rate
+        self.momentum = momentum
+        self.velocities = [np.zeros_like(p.data) for p in params]
+
+    def step(self) -> None:
+        for p, v in zip(self.params, self.velocities):
+            v *= self.momentum
+            if p.grad is not None:
+                v -= self.rate * p.grad
+            p.data += v

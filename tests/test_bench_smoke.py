@@ -1,8 +1,11 @@
 """The benchmark runs against this checkout and passes its own checks.
 
-One short overfit run untraced and one traced, each in a child process
-as the benchmark is run (``python3 bench/run.py``). A change that breaks
-an interface the benchmark or its tracer uses fails here.
+One short overfit run untraced and one traced, and one short paper-shape
+run untraced, each in a child process as the benchmark is run
+(``python3 bench/run.py``). A change that breaks an interface the
+benchmark or its tracer uses fails here. The paper run's momentum and
+finite-difference checks see a 50 x 20k embedding matrix, which the
+optimizer sweeps in several blocks; the overfit matrix is one block.
 """
 
 import json
@@ -15,9 +18,9 @@ import pytest
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def bench(trace: int) -> dict:
+def bench(workload: str, trace: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "overfit", "--seed", "3",
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", str(trace)],
         capture_output=True, text=True, timeout=600, cwd=RUN.parents[1])
     assert proc.returncode == 0, proc.stderr
@@ -30,9 +33,13 @@ def bench(trace: int) -> dict:
 
 @pytest.mark.parametrize("trace", [0, 1])
 def test_overfit_run_is_correct(trace):
-    metrics = bench(trace)
+    metrics = bench("overfit", trace)
     if trace:
         assert metrics["attention.stack_ms"]["value"] > 0
         assert metrics["trainer.train_step_ms"]["value"] > 0
     else:
         assert metrics["train_rate"]["value"] > 0
+
+
+def test_paper_run_is_correct():
+    assert bench("paper", 0)["train_rate"]["value"] > 0

@@ -68,6 +68,27 @@ class TestVocabulary:
             Vocabulary.from_tokens(["<unk>", "x", "x"])
 
 
+class TestRandom:
+    @pytest.mark.parametrize("v, dim", [
+        (1, 50),
+        (33, 50),  # the overfit shape: one block
+        (700, 50),  # 35k words: one block
+        (2622, 50),  # four blocks, the last one below 2^15 words
+        (20001, 50),  # the paper shape: four blocks of about 250k words
+        (5000, 7),
+    ])
+    def test_blocks_are_one_draw(self, v, dim):
+        # The blocked, transposed fill gives the one whole-matrix draw's
+        # entries and leaves the generator where that draw does.
+        rng, twin = Rng(9), Rng(9)
+        emb = EmbeddingMatrix.random(Vocabulary(f"w{i}" for i in range(v - 1)), dim, rng)
+        want = twin.uniform_matrix(v, dim, -0.05, 0.05).T
+        assert emb.weights.shape == (dim, v) and emb.weights.data.flags.c_contiguous
+        assert np.array_equal(emb.weights.data.view(np.int64), want.view(np.int64))
+        assert rng.next_u64() == twin.next_u64()
+        assert emb.weights.requires_grad
+
+
 class TestLoadPretrained:
     def test_direct_parse(self):
         vocab = make_vocab("the")

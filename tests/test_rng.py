@@ -9,6 +9,7 @@ from nnma.model import NnmaModel
 from nnma.rng import Rng
 
 LANE_MIN = R._LANE_MIN_WORDS
+LANE_MIN_BUILT = R._LANE_MIN_WORDS_BUILT  # the threshold once the jumps are built
 LANE_BLOCK = R._LANE_STRIDE * R._LANE_GROUP  # words in one full group of lanes
 
 
@@ -43,17 +44,63 @@ def assert_twins_agree(seed, rows, cols, lo, hi):
     (3, 11000, -0.5, 0.25),  # lanes, then a partial last lane of 232 words
     (2 * LANE_BLOCK // 512, 512, -0.05, 0.05),  # exactly two full lane groups
     (20001, 50, -0.05, 0.05),  # the paper-shape embedding
+    (100, 100, -0.17, 0.17),  # paper-shape w_a, on lanes once the jumps are built
+    (100, 200, -0.14, 0.14),  # paper-shape w_b
 ])
 def test_uniform_matrix_matches_per_entry_draws(rows, cols, lo, hi):
     assert_twins_agree(2024, rows, cols, lo, hi)
 
 
+def lane_draws(monkeypatch) -> list[int]:
+    """Records the lanes of every lane draw from here on."""
+    calls = []
+    lane_words = R._lane_words
+
+    def counted(starts, out):
+        calls.append(len(starts))
+        lane_words(starts, out)
+
+    monkeypatch.setattr(R, "_lane_words", counted)
+    return calls
+
+
 @settings(max_examples=15, deadline=None)
 @given(rows=st.integers(1, 64), extra=st.integers(-600, 1200),
-       seed=st.integers(0, 2**64 - 1))
-def test_uniform_matrix_around_the_lane_threshold(rows, extra, seed):
-    cols = max(1, (LANE_MIN + extra) // rows)
+       seed=st.integers(0, 2**64 - 1), built=st.booleans(),
+       threshold=st.sampled_from([LANE_MIN, LANE_MIN_BUILT]))
+def test_uniform_matrix_around_the_lane_threshold(rows, extra, seed, built, threshold):
+    # Around either threshold, with the jump matrices built or not: the
+    # same entries and the same state, on lanes or not.
+    R._jump.cache_clear()
+    if built:
+        Rng(0).uniform_matrix(1, LANE_MIN, 0.0, 1.0)
+    cols = max(1, (threshold + extra) // rows)
     assert_twins_agree(seed, rows, cols, -1.0, 1.0)
+
+
+def test_medium_draws_take_lanes_only_once_the_jumps_are_built(monkeypatch):
+    R._jump.cache_clear()
+    calls = lane_draws(monkeypatch)
+    Rng(1).uniform_matrix(100, 200, 0.0, 1.0)  # 20k words, nothing built
+    assert calls == [] and R._jump.cache_info().currsize == 0
+    Rng(1).uniform_matrix(1, LANE_MIN, 0.0, 1.0)  # builds the jumps for 64 lanes
+    Rng(1).uniform_matrix(1, LANE_MIN_BUILT - 1, 0.0, 1.0)
+    assert calls == [LANE_MIN // R._LANE_STRIDE]
+    Rng(1).uniform_matrix(1, LANE_MIN_BUILT, 0.0, 1.0)
+    Rng(1).uniform_matrix(100, 200, 0.0, 1.0)
+    assert calls[1:] == [LANE_MIN_BUILT // R._LANE_STRIDE, 20000 // R._LANE_STRIDE]
+
+
+def test_medium_draw_needing_an_unbuilt_jump_stays_scalar(monkeypatch):
+    # Jumps up to 2^13 serve at most 16 lanes (8192 words); a draw of 20k
+    # words needs 2^14 too.
+    R._jump.cache_clear()
+    R._jump(13)
+    calls = lane_draws(monkeypatch)
+    Rng(1).uniform_matrix(1, LANE_MIN_BUILT, 0.0, 1.0)
+    Rng(1).uniform_matrix(100, 200, 0.0, 1.0)
+    assert calls == [LANE_MIN_BUILT // R._LANE_STRIDE]
+    assert R._jump.cache_info().currsize == 14
 
 
 # Blackman & Vigna's jump(): 2^128 steps of xoshiro256**.
@@ -98,6 +145,17 @@ def test_jump_matrices_are_packed_and_read_only():
     m = R._jump(12)
     assert m.dtype == np.uint64 and m.shape == (256, 4) and m.nbytes == 8192
     assert not m.flags.writeable
+
+
+def test_paper_shape_weights_after_the_embedding_draw_take_lanes(monkeypatch):
+    # Each side's w_a (10k words) and w_b (20k) per level follow the
+    # embedding matrix, whose draw builds the jumps.
+    R._jump.cache_clear()
+    calls = lane_draws(monkeypatch)
+    vocab = Vocabulary([f"w{i}" for i in range(20000)])
+    NnmaModel.create(vocab, ["A", "B"], d_e=50, d=50, d_m=200, k=2, rng=Rng(3))
+    attention = [c for c in calls if c in (10000 // R._LANE_STRIDE, 20000 // R._LANE_STRIDE)]
+    assert len(attention) == 8
 
 
 def test_only_lane_draws_build_jump_matrices():

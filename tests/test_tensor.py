@@ -412,19 +412,6 @@ def test_column_block_out_of_range(start, stop):
         T.column_block(Tensor(np.zeros((2, 4))), start, stop)
 
 
-def dense_select_columns(m, idx):
-    """The lookup with the dense backward it had before ``ColumnGrad``:
-    a zero matrix of the source's shape, scatter-added per lookup."""
-    idx = list(idx)
-
-    def vjp(g):
-        grad = np.zeros_like(m.data)
-        np.add.at(grad, (slice(None), idx), g)
-        return (grad,)
-
-    return T._make(m.data[:, idx], (m,), vjp)
-
-
 # Columns repeat within a lookup and are shared across lookups.
 LOOKUPS = [[5, 1, 5, 5, 0], [1, 7, 7, 2, 5], [9, 0]]
 
@@ -450,7 +437,7 @@ def lookup_grads(source, count, dense_first=None):
     m = rand(3, 10, rng)
     weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS[:count]]
     out = []
-    for select in (T.select_columns, dense_select_columns):
+    for select in (T.select_columns, ops.select_columns):
         m.zero_grad()
         lookup_loss(select, source(m), weights, dense_first).backward()
         out.append((m.grad.tobytes(), m.grad_columns))
@@ -497,6 +484,36 @@ def test_compact_lookup_grad_accumulates_over_backward_calls():
     assert m.grad is None and m.grad_columns is None
 
 
+def test_compact_grad_is_the_dense_grad_in_the_used_columns():
+    # After lookups alone the leaf keeps one block; ``compact_grad`` hands
+    # it out, and the dense ``grad``, built on the first read, holds the
+    # same bits in those columns and zeros elsewhere.
+    rng = np.random.default_rng(14)
+    m = rand(3, 10, rng)
+    weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS]
+    lookup_loss(T.select_columns, m, weights).backward()
+    cols, block = m.compact_grad
+    assert list(cols) == m.grad_columns == [0, 1, 2, 5, 7, 9]
+    assert m.compact_grad[1] is block  # kept, not rebuilt
+    dense = m.grad
+    assert dense.shape == m.shape and m.grad is dense
+    assert dense[:, cols].tobytes() == block.tobytes()
+    rest = [c for c in range(10) if c not in cols]
+    assert not np.any(dense[:, rest])
+    cols_after, block_after = m.compact_grad  # now gathered from the dense grad
+    assert list(cols_after) == m.grad_columns and block_after.tobytes() == block.tobytes()
+    m.grad = dense.copy()
+    assert m.compact_grad[0] is None and m.compact_grad[1] is m.grad
+    m.zero_grad()
+    assert m.compact_grad == (None, None)
+
+
+def test_owning_wraps_without_a_copy():
+    data = np.zeros((2, 3))
+    t = Tensor.owning(data, requires_grad=True)
+    assert t.data is data and t.requires_grad and t.grad is None
+
+
 def test_column_grad_sums_with_arrays_from_either_side():
     rng = np.random.default_rng(13)
     a = T.ColumnGrad((2, 4), [([0, 3], rng.uniform(-1, 1, (2, 2)))])
@@ -508,6 +525,9 @@ def test_column_grad_sums_with_arrays_from_either_side():
     assert np.array_equal(arr + a, arr + a.dense())
     assert np.array_equal(a + arr, a.dense() + arr)
     assert np.array_equal(a.dense()[:, [1, 2]], np.zeros((2, 2)))
+    one = both.merged()
+    assert len(one.parts) == 1 and list(one.parts[0][0]) == [0, 1, 3]
+    assert one.dense().tobytes() == both.dense().tobytes()
 
 
 # -- backward semantics --------------------------------------------------------------

@@ -1,16 +1,19 @@
 import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import per_op
 from nnma.corpus import Dataset, Instance, TaskSpec, synth_generate
 from nnma.embeddings import Vocabulary
 from nnma.metrics import evaluate
 from nnma.model import NnmaModel
 from nnma.rng import Rng
-from nnma.tensor import Tensor, topo_order
+from nnma.tensor import Tensor, select_columns, topo_order
 from nnma.trainer import (
+    SWEEP_WORDS,
     Hyperparams,
     MomentumSgd,
     TrainingDiverged,
@@ -136,6 +139,113 @@ class TestMomentumSgd:
             before = emb.data.copy()
             opt.step()
             assert np.all(emb.data != before)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestCompactMomentum:
+    """Lookups with a compact gradient and the step that reads it (the
+    used columns from their old values, one sweep over the matrix in
+    blocks of rows) against lookups with a dense backward and the three
+    whole-array passes of ``per_op.MomentumSgd``."""
+
+    V = 20001  # 50 x V rows: several sweep blocks, the last one shorter
+
+    def lookup_loss(self, select, E, lookups, dense=None):
+        """Sum of each lookup weighted entrywise, plus sum(E * dense)."""
+        total = None
+        for idx, w in lookups:
+            term = per_op.sum_all(per_op.hadamard(select(E, idx), Tensor(w)))
+            total = term if total is None else per_op.add(total, term)
+        if dense is not None:
+            total = per_op.add(total, per_op.sum_all(per_op.hadamard(E, Tensor(dense))))
+        return total
+
+    def test_matrix_spans_several_sweep_blocks(self):
+        rows_per_block = max(1, SWEEP_WORDS // self.V)
+        assert 50 // rows_per_block > 2 and 50 % rows_per_block  # the last one shorter
+
+    def test_sweep_is_the_three_pass_step_bytewise(self):
+        rng = np.random.default_rng(5)
+        start = rng.uniform(-0.05, 0.05, (50, self.V))
+        sides = []
+        for select, opt_class in ((select_columns, MomentumSgd),
+                                  (per_op.select_columns, per_op.MomentumSgd)):
+            E = Tensor(start, requires_grad=True)
+            opt = opt_class([E], rate=0.5, momentum=0.9)
+            # -0.0 minus a gradient of +0.0 stays -0.0 and minus -0.0 is
+            # +0.0, so a block that kept a part's -0.0 would show here.
+            opt.velocities[0][...] = -0.0
+            sides.append((select, E, opt))
+        for step in range(240):
+            kind = step % 40
+            # Mostly two lookups, as an instance's two arguments, some one
+            # or three; each shares a run of words with the one before, so
+            # parts overlap and the order of their sums shows.
+            idxs = [rng.integers(0, self.V, n) for n in rng.integers(1, 40, size=1 + step % 3)]
+            for prev, idx in zip(idxs, idxs[1:]):
+                shared = rng.integers(0, min(len(prev), len(idx)) + 1)
+                idx[:shared] = prev[:shared]
+            lookups = []
+            for idx in idxs:
+                # Spread magnitudes: sums of three alike ones rarely round
+                # differently in another order.
+                shape = (50, len(idx))
+                w = rng.uniform(-1, 1, shape) * np.exp2(rng.integers(-20, 20, shape))
+                w[rng.random(shape) < 0.1] = -0.0
+                w[rng.random(shape) < 0.05] = 0.0
+                lookups.append((idx.tolist(), w))
+            dense = rng.uniform(-1, 1, (50, self.V)) if kind == 7 else None
+            by_hand = rng.uniform(-1, 1, (50, self.V)) if kind == 19 else None
+            for select, E, opt in sides:
+                E.zero_grad()
+                if kind != 31:  # no backward: the gradient is unset
+                    loss = self.lookup_loss(select, E, lookups, dense)
+                    loss.backward()
+                    if kind == 11:  # accumulated over two backward passes
+                        loss.backward()
+                    if by_hand is not None:
+                        E.grad += by_hand
+                opt.step()
+            (_, E, opt), (_, E_ref, opt_ref) = sides
+            assert same_bits(E.data, E_ref.data), step
+            assert same_bits(opt.velocities[0], opt_ref.velocities[0]), step
+            if dense is None and by_hand is None and kind not in (11, 31):
+                assert E.grad_columns == sorted({c for idx, _ in lookups for c in idx})
+            else:
+                assert E.grad_columns is None
+            if kind == 31:
+                assert E.grad is None and E_ref.grad is None
+            else:
+                assert same_bits(E.grad, E_ref.grad), step
+
+    def test_paper_size_step_allocates_no_dense_embedding_array(self):
+        # A train step at V 20001 must not build a 50 x V array: no dense
+        # gradient, no whole-matrix temporary in the optimizer.
+        d_e, V = 50, self.V
+        rng = Rng(7)
+        model = NnmaModel.create(Vocabulary([f"w{i}" for i in range(V - 1)]), ["A", "B"],
+                                 d_e=d_e, d=8, d_m=16, k=2, rng=rng)
+        opt_net = MomentumSgd(model.network_parameters(), 0.01, 0.9)
+        opt_emb = MomentumSgd(model.embedding_parameters(), 0.002, 0.9)
+        emb = model.embeddings.weights
+        words = [[f"w{rng.below(V - 1)}" for _ in range(30)] for _ in range(6)]
+        before = emb.data.copy()
+        tracemalloc.start()
+        try:
+            for n in range(3):
+                inst = Instance("AB"[n % 2], words[2 * n], words[2 * n + 1])
+                train_step(model, inst, n % 2, 1.0, opt_net, opt_emb,
+                           dropout_mask(6 * model.d, 0.1, rng))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d_e * V * 8
+        moved = np.flatnonzero(np.any(emb.data != before, axis=0))
+        assert 0 < len(moved) < V
+        assert len(emb.compact_grad[0]) > 0
 
 
 def golden_training_run(steps=60):
