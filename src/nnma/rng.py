@@ -28,13 +28,11 @@ _MASK64 = (1 << 64) - 1
 _CHUNK = 4096  # words per block in the scalar loop, bounding its Python-int list
 # Draws of at least _LANE_MIN_WORDS words run on lanes. A lane draw costs
 # about 5-8 ms however few lanes it has (one numpy step per stride word),
-# plus about 35 ms for the jump matrices on a process's first lane draw;
-# the scalar loop costs about 0.6-1 us a word. So once the jump matrices a
-# draw needs are built, lanes pay from _LANE_MIN_WORDS_BUILT words: the
-# paper shape's 10k-20k-word attention weights, drawn after the embedding
-# matrix. Dropout masks and overfit-shape weights stay below both.
-_LANE_MIN_WORDS = 1 << 15
-_LANE_MIN_WORDS_BUILT = 1 << 13
+# plus the jump matrices on a process's first lane draw; the scalar loop
+# costs about 0.6-1 us a word. At the paper shape the embedding matrix is
+# drawn first and builds the jumps, and its 10k-20k-word attention weights
+# take lanes after it. Dropout masks and overfit-shape weights stay below.
+_LANE_MIN_WORDS = 1 << 13
 _LANE_STRIDE_LOG2 = 9
 _LANE_STRIDE = 1 << _LANE_STRIDE_LOG2  # consecutive words drawn by one lane
 _LANE_GROUP = 1024  # lanes stepped together
@@ -128,19 +126,6 @@ def _jump(log2_steps: int) -> np.ndarray:
     return matrix
 
 
-def _on_lanes(words: int) -> bool:
-    """Whether a draw of ``words`` words runs on lanes: from
-    _LANE_MIN_WORDS always, and from _LANE_MIN_WORDS_BUILT when the jump
-    matrices ``_lane_starts`` needs for it are built. ``_jump(j)`` builds
-    every lower one first, so the cache holds jumps 0 to some j, and its
-    size tells how far."""
-    if words >= _LANE_MIN_WORDS:
-        return True
-    lanes = words // _LANE_STRIDE
-    needed = _LANE_STRIDE_LOG2 + lanes.bit_length()  # jumps 0 .. needed - 1
-    return words >= _LANE_MIN_WORDS_BUILT and _jump.cache_info().currsize >= needed
-
-
 def _lane_starts(state: list[int], lanes: int) -> np.ndarray:
     """(lanes, 4) states, row i being ``state`` moved i * _LANE_STRIDE
     steps. Each jump T^(2^j) doubles the rows."""
@@ -217,13 +202,13 @@ class Rng:
 
         Bit-identical to calling ``uniform(lo, hi)`` once per entry, and
         leaves the generator where those calls would: the same float
-        operations are applied to the whole array. A draw on lanes
-        (``_on_lanes``) fills its whole strides on lanes and its last
-        partial stride with the scalar loop, which starts from the state
-        one lane further on.
+        operations are applied to the whole array. A draw of at least
+        ``_LANE_MIN_WORDS`` words fills its whole strides on lanes and
+        its last partial stride with the scalar loop, which starts from
+        the state one lane further on.
         """
         out = np.empty(rows * cols)
-        if not _on_lanes(out.size):
+        if out.size < _LANE_MIN_WORDS:
             self._s[:] = _scalar_words(self._s, out)
         else:
             lanes = out.size // _LANE_STRIDE

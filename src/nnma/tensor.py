@@ -126,13 +126,15 @@ class Tensor:
 
     @property
     def compact_grad(self) -> tuple[list[int] | np.ndarray | None, np.ndarray | None]:
-        """``(grad_columns, grad[:, grad_columns])`` (the columns as an
-        index array and the kept block itself while ``grad`` has not been
-        read); ``(None, grad)`` when any column may be nonzero, and
-        ``(None, None)`` with no gradient. Never makes the dense ``grad``."""
+        """``(columns, grad[:, columns])`` when ``grad_columns`` is set:
+        while the gradient is kept compact, the columns as an index array
+        and the kept block itself; once ``grad`` has been read,
+        ``grad_columns`` and a gather from the dense array. ``(None, grad)``
+        when any column may be nonzero, and ``(None, None)`` with no
+        gradient. Never makes the dense ``grad``."""
         g, cols = self._grad, self._grad_columns
         if type(g) is ColumnGrad:
-            return cols, g.parts[0][1]
+            return g.parts[0]
         if g is None or cols is None:
             return None, g
         return cols, g[:, cols]

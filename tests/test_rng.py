@@ -9,7 +9,6 @@ from nnma.model import NnmaModel
 from nnma.rng import Rng
 
 LANE_MIN = R._LANE_MIN_WORDS
-LANE_MIN_BUILT = R._LANE_MIN_WORDS_BUILT  # the threshold once the jumps are built
 LANE_BLOCK = R._LANE_STRIDE * R._LANE_GROUP  # words in one full group of lanes
 
 
@@ -38,13 +37,16 @@ def assert_twins_agree(seed, rows, cols, lo, hi):
     (50, 40, -0.05, 0.05),
     (0, 4, -1.0, 1.0),
     (2, 3, 0, 5),
-    (3, 5000, 1.0, 4.0),  # several generator blocks, the last one partial
+    (3, 5000, 1.0, 4.0),  # 29 lanes, then a partial last lane of 152 words
+    (2, 4000, 1.0, 4.0),  # two scalar-loop blocks, the last one partial
     (1, LANE_MIN - 1, -1.0, 1.0),  # the largest scalar draw
     (1, LANE_MIN, -1.0, 1.0),  # the smallest lane draw, whole lanes only
+    (1, 32767, -1.0, 1.0),  # 63 lanes and a partial last lane of 511 words
+    (1, 32768, -1.0, 1.0),  # 64 whole lanes
     (3, 11000, -0.5, 0.25),  # lanes, then a partial last lane of 232 words
     (2 * LANE_BLOCK // 512, 512, -0.05, 0.05),  # exactly two full lane groups
     (20001, 50, -0.05, 0.05),  # the paper-shape embedding
-    (100, 100, -0.17, 0.17),  # paper-shape w_a, on lanes once the jumps are built
+    (100, 100, -0.17, 0.17),  # paper-shape w_a, on lanes
     (100, 200, -0.14, 0.14),  # paper-shape w_b
 ])
 def test_uniform_matrix_matches_per_entry_draws(rows, cols, lo, hi):
@@ -66,41 +68,10 @@ def lane_draws(monkeypatch) -> list[int]:
 
 @settings(max_examples=15, deadline=None)
 @given(rows=st.integers(1, 64), extra=st.integers(-600, 1200),
-       seed=st.integers(0, 2**64 - 1), built=st.booleans(),
-       threshold=st.sampled_from([LANE_MIN, LANE_MIN_BUILT]))
-def test_uniform_matrix_around_the_lane_threshold(rows, extra, seed, built, threshold):
-    # Around either threshold, with the jump matrices built or not: the
-    # same entries and the same state, on lanes or not.
-    R._jump.cache_clear()
-    if built:
-        Rng(0).uniform_matrix(1, LANE_MIN, 0.0, 1.0)
-    cols = max(1, (threshold + extra) // rows)
+       seed=st.integers(0, 2**64 - 1))
+def test_uniform_matrix_around_the_lane_threshold(rows, extra, seed):
+    cols = max(1, (LANE_MIN + extra) // rows)
     assert_twins_agree(seed, rows, cols, -1.0, 1.0)
-
-
-def test_medium_draws_take_lanes_only_once_the_jumps_are_built(monkeypatch):
-    R._jump.cache_clear()
-    calls = lane_draws(monkeypatch)
-    Rng(1).uniform_matrix(100, 200, 0.0, 1.0)  # 20k words, nothing built
-    assert calls == [] and R._jump.cache_info().currsize == 0
-    Rng(1).uniform_matrix(1, LANE_MIN, 0.0, 1.0)  # builds the jumps for 64 lanes
-    Rng(1).uniform_matrix(1, LANE_MIN_BUILT - 1, 0.0, 1.0)
-    assert calls == [LANE_MIN // R._LANE_STRIDE]
-    Rng(1).uniform_matrix(1, LANE_MIN_BUILT, 0.0, 1.0)
-    Rng(1).uniform_matrix(100, 200, 0.0, 1.0)
-    assert calls[1:] == [LANE_MIN_BUILT // R._LANE_STRIDE, 20000 // R._LANE_STRIDE]
-
-
-def test_medium_draw_needing_an_unbuilt_jump_stays_scalar(monkeypatch):
-    # Jumps up to 2^13 serve at most 16 lanes (8192 words); a draw of 20k
-    # words needs 2^14 too.
-    R._jump.cache_clear()
-    R._jump(13)
-    calls = lane_draws(monkeypatch)
-    Rng(1).uniform_matrix(1, LANE_MIN_BUILT, 0.0, 1.0)
-    Rng(1).uniform_matrix(100, 200, 0.0, 1.0)
-    assert calls == [LANE_MIN_BUILT // R._LANE_STRIDE]
-    assert R._jump.cache_info().currsize == 14
 
 
 # Blackman & Vigna's jump(): 2^128 steps of xoshiro256**.

@@ -493,7 +493,7 @@ def test_compact_grad_is_the_dense_grad_in_the_used_columns():
     weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS]
     lookup_loss(T.select_columns, m, weights).backward()
     cols, block = m.compact_grad
-    assert list(cols) == m.grad_columns == [0, 1, 2, 5, 7, 9]
+    assert cols.dtype == np.intp and list(cols) == m.grad_columns == [0, 1, 2, 5, 7, 9]
     assert m.compact_grad[1] is block  # kept, not rebuilt
     dense = m.grad
     assert dense.shape == m.shape and m.grad is dense
