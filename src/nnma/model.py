@@ -31,6 +31,14 @@ checkpoint, the optimizer groups and ``nnma gradcheck``'s groups all
 read it. The header fixes every array shape, so the payload carries no
 framing; any length mismatch is a hard error and no partial model is
 returned.
+
+The parameters live in two buffers, one per optimizer group
+(``buffers``): the embedding matrix, and every other row laid out in
+table order as one flat array (``tensor.FlatParams``), each tensor a
+view of it at the running sum of the sizes before it. ``create`` draws
+each row straight into its view, the checkpoint payload is the two
+buffers written in order, and ``load`` reads each back in one call;
+no second copy of a group is made.
 """
 
 from __future__ import annotations
@@ -49,8 +57,8 @@ from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from .recurrent import encode_pair
 from .rng import Rng
-from .tensor import (ParamGroup, ShapeError, Tensor, _make, nll_from_logits, no_grad, scale,
-                     softmax)
+from .tensor import (FlatParams, ParamGroup, ShapeError, Tensor, _make, nll_from_logits,
+                     no_grad, scale, softmax)
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
@@ -101,21 +109,19 @@ def parameter_table(d_e: int, d: int, d_m: int, k: int, n: int,
     yield ParamSpec("classifier.b_p", (n, 1), "zeros")
 
 
-def xavier_uniform(rows: int, cols: int, rng: Rng) -> Tensor:
-    """Weight matrix drawn uniform(-r, r), r = sqrt(6 / (fan_in + fan_out))
-    with fan_in = cols and fan_out = rows."""
-    r = math.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform_matrix(rows, cols, -r, r), requires_grad=True)
-
-
-def draw(spec: ParamSpec, rng: Rng) -> Tensor:
-    """A fresh tensor for a ``xavier`` or ``zeros`` row; only a ``xavier``
-    row reads the generator."""
+def draw(spec: ParamSpec, rng: Rng, out: np.ndarray) -> None:
+    """Fill ``out``, a C-contiguous array of the row's shape, for a
+    ``xavier`` row (uniform(-r, r), r = sqrt(6 / (fan_in + fan_out)) with
+    fan_in = cols and fan_out = rows) or a ``zeros`` row; only a
+    ``xavier`` row reads the generator."""
+    rows, cols = spec.shape
     if spec.init == "xavier":
-        return xavier_uniform(*spec.shape, rng)
-    if spec.init == "zeros":
-        return Tensor.zeros(*spec.shape, requires_grad=True)
-    raise ValueError(f"{spec.name}: no draw for init {spec.init!r}")
+        r = math.sqrt(6.0 / (rows + cols))
+        rng.uniform_matrix(rows, cols, -r, r, out=out)
+    elif spec.init == "zeros":
+        out.fill(0.0)
+    else:
+        raise ValueError(f"{spec.name}: no draw for init {spec.init!r}")
 
 
 def classify(final: Tensor, w_p: Tensor, b_p: Tensor,
@@ -171,9 +177,11 @@ class NnmaModel:
     holds the parameter table's rows for the model's dimensions."""
 
     def __init__(self, vocab: Vocabulary, label_names: list[str], d_e: int, d: int,
-                 d_m: int, k: int, tensors: Sequence[Tensor]):
-        """Model from its parameters, one for each ``parameter_table`` row
-        of these dimensions, in the rows' order and of their shapes."""
+                 d_m: int, k: int, embeddings: Tensor, network: np.ndarray):
+        """Model from its two parameter groups: ``embeddings``, the table's
+        first row, and ``network``, the values of every other row in the
+        table's order as one 1-D C-contiguous float64 buffer, which the
+        network tensors then are views of (``tensor.FlatParams``)."""
         if len(label_names) < 2:
             raise ValueError("need at least two labels")
         if k < 1:
@@ -182,11 +190,13 @@ class NnmaModel:
         self.label_names = list(label_names)
         self.d_e, self.d, self.d_m, self.k = d_e, d, d_m, k
         self.table = list(parameter_table(d_e, d, d_m, k, len(label_names), len(vocab)))
-        self._tensors = list(tensors)
-        if [t.shape for t in self._tensors] != [spec.shape for spec in self.table]:
-            raise ShapeError("parameters do not match the parameter table")
+        if embeddings.shape != self.table[0].shape:
+            raise ShapeError(f"embeddings {embeddings.shape} do not match the parameter "
+                             f"table's {self.table[0].shape}")
+        self._network = FlatParams(network, [spec.shape for spec in self.table[1:]])
+        self._tensors = [embeddings] + self._network.leaves
         named = {spec.name: t for spec, t in zip(self.table, self._tensors)}
-        self.embeddings = EmbeddingMatrix(named["embeddings"], d_e)
+        self.embeddings = EmbeddingMatrix(embeddings, d_e)
         self.enc1, self.enc2 = ParamGroup("enc1", named), ParamGroup("enc2", named)
         self.levels = [ParamGroup(f"level{level}", named) for level in range(1, k + 1)]
         self.w_p, self.b_p = named["classifier.w_p"], named["classifier.b_p"]
@@ -195,18 +205,17 @@ class NnmaModel:
     def create(cls, vocab: Vocabulary, label_names: list[str], d_e: int,
                d: int, d_m: int, k: int, rng: Rng,
                embeddings: EmbeddingMatrix | None = None) -> "NnmaModel":
-        """Fresh model: the parameter table's rows in order, the embedding
-        matrix (unless given) and every xavier row drawn from the
-        generator, the zeros rows (biases) at zero."""
-        tensors = []
-        for spec in parameter_table(d_e, d, d_m, k, len(label_names), len(vocab)):
-            if spec.init != "embedding":
-                tensors.append(draw(spec, rng))
-            elif embeddings is None:
-                tensors.append(EmbeddingMatrix.random(vocab, d_e, rng).weights)
-            else:
-                tensors.append(embeddings.weights)
-        return cls(vocab, label_names, d_e, d, d_m, k, tensors)
+        """Fresh model, drawn in the parameter table's order: the embedding
+        matrix (unless given), then every xavier row straight into its
+        view of the network buffer; the zeros rows (biases) stay zero."""
+        if embeddings is None:
+            embeddings = EmbeddingMatrix.random(vocab, d_e, rng)
+        table = list(parameter_table(d_e, d, d_m, k, len(label_names), len(vocab)))
+        network = np.zeros(sum(math.prod(spec.shape) for spec in table[1:]))
+        model = cls(vocab, label_names, d_e, d, d_m, k, embeddings.weights, network)
+        for spec, p in zip(model.table[1:], model.network_parameters()):
+            draw(spec, rng, p.data)
+        return model
 
     @property
     def n_labels(self) -> int:
@@ -226,12 +235,19 @@ class NnmaModel:
 
     def embedding_parameters(self) -> list[Tensor]:
         """The group trained at the embedding-specific rate: the table's
-        ``embeddings`` row."""
-        return [t for spec, t in zip(self.table, self._tensors) if spec.group == "embeddings"]
+        ``embeddings`` row, its first."""
+        return self._tensors[:1]
 
     def network_parameters(self) -> list[Tensor]:
-        """Every other row of the table, in its order."""
-        return [t for spec, t in zip(self.table, self._tensors) if spec.group != "embeddings"]
+        """Every other row of the table, in its order: views of one flat
+        buffer."""
+        return self._tensors[1:]
+
+    def buffers(self) -> list[np.ndarray]:
+        """Each group's values as one array, in table order: the embedding
+        matrix, then the flat network buffer. They are the parameters'
+        memory, so writing into them sets the parameters."""
+        return [self.embeddings.weights.data, self._network.values]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -311,8 +327,8 @@ class NnmaModel:
         fh.write(np.uint32(FORMAT_VERSION).tobytes())
         fh.write(np.uint64(len(blob)).tobytes())
         fh.write(blob)
-        for p in self.parameters():
-            fh.write(p.data.astype("<f8").tobytes(order="C"))
+        for buffer in self.buffers():
+            fh.write(np.ascontiguousarray(buffer, dtype="<f8"))
 
     @classmethod
     def load(cls, source) -> "NnmaModel":
@@ -389,9 +405,20 @@ class NnmaModel:
             raise CheckpointError(f"trailing bytes after parameter payload: {left} "
                                   f"bytes, the header implies {expected}")
 
-        tensors = [Tensor(np.frombuffer(fh.read(8 * math.prod(spec.shape)), dtype="<f8")
-                          .reshape(spec.shape), requires_grad=True) for spec in table]
-        return cls(vocab, labels, dims["d_e"], dims["d"], dims["d_m"], dims["k"], tensors)
+        embeddings = cls._read_floats(fh, math.prod(table[0].shape))
+        network = cls._read_floats(fh, sum(math.prod(spec.shape) for spec in table[1:]))
+        return cls(vocab, labels, dims["d_e"], dims["d"], dims["d_m"], dims["k"],
+                   Tensor.owning(embeddings.reshape(table[0].shape), requires_grad=True),
+                   network)
+
+    @staticmethod
+    def _read_floats(fh: IO[bytes], count: int) -> np.ndarray:
+        """The next ``count`` little-endian float64 values, read in one call
+        into a new native array."""
+        out = np.empty(count, dtype="<f8")
+        if fh.readinto(out) != out.nbytes:
+            raise CheckpointError("truncated checkpoint: short read of the payload")
+        return out.astype(np.float64, copy=False)
 
     @staticmethod
     def _bytes_left(fh: IO[bytes]) -> int:

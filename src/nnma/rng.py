@@ -196,9 +196,11 @@ class Rng:
             raise ValueError(f"below() needs n >= 1, got {n}")
         return min(int(self.uniform01() * n), n - 1)
 
-    def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
+    def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Row-major matrix of uniform draws (draw order is part of the
-        reproducibility contract).
+        reproducibility contract), written into ``out`` when given (a
+        C-contiguous float64 array of ``rows * cols`` entries).
 
         Bit-identical to calling ``uniform(lo, hi)`` once per entry, and
         leaves the generator where those calls would: the same float
@@ -207,19 +209,23 @@ class Rng:
         its last partial stride with the scalar loop, which starts from
         the state one lane further on.
         """
-        out = np.empty(rows * cols)
-        if out.size < _LANE_MIN_WORDS:
-            self._s[:] = _scalar_words(self._s, out)
+        if out is None:
+            out = np.empty((rows, cols))
+        elif out.size != rows * cols or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be C-contiguous float64 of {rows * cols} entries")
+        words = out.reshape(-1)  # a view, since out is C-contiguous
+        if words.size < _LANE_MIN_WORDS:
+            self._s[:] = _scalar_words(self._s, words)
         else:
-            lanes = out.size // _LANE_STRIDE
+            lanes = words.size // _LANE_STRIDE
             starts = _lane_starts(self._s, lanes + 1)
-            _lane_words(starts[:lanes], out[:lanes * _LANE_STRIDE].reshape(lanes, _LANE_STRIDE))
+            _lane_words(starts[:lanes], words[:lanes * _LANE_STRIDE].reshape(lanes, _LANE_STRIDE))
             tail = [int(w) for w in starts[lanes]]
-            self._s[:] = _scalar_words(tail, out[lanes * _LANE_STRIDE:])
-        out *= 2.0**-53
-        out *= hi - lo
-        out += lo
-        return out.reshape(rows, cols)
+            self._s[:] = _scalar_words(tail, words[lanes * _LANE_STRIDE:])
+        words *= 2.0**-53
+        words *= hi - lo
+        words += lo
+        return out
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, iterating from the last index down."""

@@ -19,6 +19,12 @@ its gradient compact, one block over the columns that can be nonzero
 (``grad_columns``); ``compact_grad`` hands out that block, and ``.grad``
 builds the dense array only when it is first read.
 
+``FlatParams`` lays a group of parameters out as consecutive views of
+one buffer, as a flat-parameter layout does: each leaf's ``.data`` is a
+run of the values buffer, and its dense gradient lives in the same run
+of a twin gradient buffer, so an optimizer reads and writes the whole
+group in a few calls.
+
 ``grad_check`` compares those partials against central finite
 differences and is the verification oracle for everything built on top.
 """
@@ -56,9 +62,15 @@ class Tensor:
             Setting ``grad`` (also ``+=`` on it) or accumulating a second
             backward pass resets it to ``None``, so it never restricts a
             gradient it did not see.
+
+    A leaf of a ``FlatParams`` layout has a gradient view: its run of
+    the layout's gradient buffer. Its dense gradient is kept there, never
+    compact: the first write of a backward pass copies the adjoint in,
+    signed zeros included, and later ones add to it in place.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_grad_columns", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_grad", "_grad_columns", "_grad_view", "_flat",
+                 "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -75,6 +87,8 @@ class Tensor:
         self.requires_grad = requires_grad
         self._grad: np.ndarray | ColumnGrad | None = None
         self._grad_columns: list[int] | None = None
+        self._grad_view: np.ndarray | None = None
+        self._flat: FlatParams | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple[np.ndarray | None, ...]] | None = None
 
@@ -111,12 +125,27 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
+        """The dense gradient. On a leaf with a gradient view it is the
+        view itself: setting an array copies it in (a shape other than
+        the parameter's raises ``ValueError``)."""
         if type(self._grad) is ColumnGrad:
             self._grad = self._grad.dense()
         return self._grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
+        view = self._grad_view
+        if view is not None:
+            if value is None:
+                self._flat.stale.add(self)
+            else:
+                if value is not view:
+                    if np.shape(value) != view.shape:
+                        raise ValueError(f"gradient shape {np.shape(value)} != "
+                                         f"parameter shape {view.shape}")
+                    view[...] = value
+                    value = view
+                self._flat.stale.discard(self)
         self._grad = value
         self._grad_columns = None
 
@@ -180,13 +209,18 @@ class Tensor:
             if not node.requires_grad:
                 continue
             if type(g) is ColumnGrad:
-                if node._grad is None:
+                if node._grad is None and node._grad_view is None:
                     node._grad = g.merged()
                     node._grad_columns = node._grad.parts[0][0].tolist()
                     continue
                 g = g.dense()
             if node._grad is None:
-                node._grad = g.copy()
+                if node._grad_view is None:
+                    node._grad = g.copy()
+                else:
+                    node._grad_view[...] = g
+                    node._grad = node._grad_view
+                    node._flat.stale.discard(node)
             else:
                 grad = node.grad  # a kept block is made dense here
                 grad += g
@@ -265,6 +299,60 @@ class ParamGroup:
     def tensors(self) -> list[Tensor]:
         """Every tensor of the group, in the table's order."""
         return list(self._tensors)
+
+
+class FlatParams:
+    """Parameters laid out as consecutive runs of ``values``, a 1-D
+    C-contiguous float64 buffer kept as it is: ``leaves[i].data`` is the
+    run at the running sum of the sizes before it. Each leaf's dense
+    gradient is kept in the same run of a twin buffer, so an optimizer
+    reads the whole group's values and gradients as two arrays.
+
+    Dropping a leaf's gradient (``grad = None``, ``zero_grad``) does not
+    zero its run at once: at the paper shape a 2.9 MB fill before every
+    backward pass, which overwrites nearly every run again, cost more
+    than the flat step saved. The leaf is kept in ``stale`` instead,
+    until a write gives it a gradient again or ``gradient`` zeroes it.
+    """
+
+    def __init__(self, values: np.ndarray, shapes: Sequence[tuple[int, int]]):
+        if values.ndim != 1 or values.dtype != np.float64 or not values.flags.c_contiguous:
+            raise ShapeError("a flat layout needs a 1-D C-contiguous float64 buffer")
+        self.values = values
+        self.grads = np.zeros_like(values)
+        self.leaves = [Tensor.owning(run, requires_grad=True) for run in runs(values, shapes)]
+        for leaf, view in zip(self.leaves, runs(self.grads, shapes)):
+            leaf._grad_view = view
+            leaf._flat = self
+        self.stale: set[Tensor] = set()
+
+    def gradient(self) -> np.ndarray:
+        """The gradient buffer: every leaf's gradient in its run, zeros in
+        the run of a leaf without one."""
+        for leaf in self.stale:
+            leaf._grad_view.fill(0.0)
+        self.stale.clear()
+        return self.grads
+
+    @staticmethod
+    def of(tensors: Sequence[Tensor]) -> "FlatParams | None":
+        """The layout whose leaves are exactly ``tensors``, in order."""
+        flat = tensors[0]._flat if tensors else None
+        if flat is None or len(flat.leaves) != len(tensors):
+            return None
+        return flat if all(a is b for a, b in zip(flat.leaves, tensors)) else None
+
+
+def runs(buffer: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """Views of ``buffer`` (1-D) as consecutive runs, one of each shape
+    in order: a run's offset is the running sum of the sizes before it."""
+    out, at = [], 0
+    for rows, cols in shapes:
+        out.append(buffer[at:at + rows * cols].reshape(rows, cols))
+        at += rows * cols
+    if at != buffer.size:
+        raise ShapeError(f"shapes of {at} entries for a buffer of {buffer.size}")
+    return out
 
 
 def topo_order(root: Tensor) -> list[Tensor]:

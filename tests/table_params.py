@@ -5,13 +5,16 @@ for tests of one layer without a model."""
 
 from nnma.model import draw, parameter_table
 from nnma.rng import Rng
-from nnma.tensor import ParamGroup
+from nnma.tensor import ParamGroup, Tensor
 
 
 def drawn(prefix: str, rng: Rng, d_e: int = 1, d: int = 1, d_m: int = 1,
           k: int = 1) -> ParamGroup:
     """The group of table rows under ``prefix`` (``enc1``, ``enc1.forward``,
     ``level2``, ``level1.arg1``), each drawn from ``rng``."""
-    rows = parameter_table(d_e, d, d_m, k, n=2, v=1)
-    return ParamGroup(prefix, {spec.name: draw(spec, rng) for spec in rows
-                               if spec.name.startswith(prefix + ".")})
+    named = {}
+    for spec in parameter_table(d_e, d, d_m, k, n=2, v=1):
+        if spec.name.startswith(prefix + "."):
+            named[spec.name] = Tensor.zeros(*spec.shape, requires_grad=True)
+            draw(spec, rng, named[spec.name].data)
+    return ParamGroup(prefix, named)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -5,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nnma.cli import main
 from nnma.embeddings import Vocabulary
@@ -284,6 +286,56 @@ class TestHeaderValidation:
         loaded = NnmaModel.load(with_header(model))
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory, the bytes of a small valid checkpoint, and a TSV whose
+    words and labels the checkpoint knows."""
+    root = tmp_path_factory.mktemp("fuzz")
+    buf = io.BytesIO()
+    tiny_model(seed=15).save(buf)
+    tsv = root / "test.tsv"
+    tsv.write_text("Expansion\tt0 t1 t2\tt3 t4\nTemporal\tt5 t1\tt0\n")
+    return root, buf.getvalue(), tsv
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint_loads_or_exits_2(self, fuzz_inputs, data):
+        # Flip, cut and extend bytes of a valid checkpoint: the reader
+        # either loads it or raises CheckpointError, and ``nnma eval``
+        # exits 2 with an error line for every input the reader refuses.
+        root, blob, tsv = fuzz_inputs
+        header_end = 16 + int.from_bytes(blob[8:16], "little")
+        mutated = bytearray(blob)
+        kinds = st.sampled_from(["flip", "flip in header", "cut", "extend"])
+        for kind in data.draw(st.lists(kinds, min_size=1, max_size=3)):
+            if kind.startswith("flip") and mutated:
+                end = min(header_end if kind == "flip in header" else len(mutated), len(mutated))
+                mutated[data.draw(st.integers(0, end - 1))] ^= data.draw(st.integers(1, 255))
+            elif kind == "cut":
+                del mutated[data.draw(st.integers(0, len(mutated))):]
+            elif kind == "extend":
+                mutated += data.draw(st.binary(min_size=1, max_size=16))
+        try:
+            NnmaModel.load(io.BytesIO(bytes(mutated)))
+            refused = False
+        except CheckpointError:
+            refused = True
+        path = root / "mutated.ckpt"
+        path.write_bytes(bytes(mutated))
+        err = io.StringIO()
+        # A flipped payload byte can load as an inf or NaN weight, whose
+        # forward pass overflows; numpy's warnings about it are not checked.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            code = main(["eval", "--model", str(path), "--data", str(tsv), "--task", "four",
+                         "--out", str(root / "report.txt")])
+        assert code == 2 if refused else code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error:")
 
 
 def test_golden_checkpoint_bytes():

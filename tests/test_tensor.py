@@ -508,6 +508,47 @@ def test_compact_grad_is_the_dense_grad_in_the_used_columns():
     assert m.compact_grad == (None, None)
 
 
+def test_flat_leaves_keep_a_plain_leafs_gradient_bits():
+    # Leaves of one FlatParams layout against plain leaves of the same
+    # values: the first write copies the adjoint (its -0.0 entries too),
+    # a second backward adds, a dropped gradient reads as zeros in the
+    # layout's gradient buffer, and lookups of a flat leaf land dense.
+    rng = np.random.default_rng(15)
+    x0, m0 = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (3, 10))
+    w = rng.uniform(-1, 1, (2, 3))
+    w[0, :] = -0.0
+    weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS]
+    flat = T.FlatParams(np.concatenate([x0.ravel(), m0.ravel()]), [(2, 3), (3, 10)])
+    plain = [Tensor(x0, requires_grad=True), Tensor(m0, requires_grad=True)]
+    assert [t.data.base is flat.values for t in flat.leaves] == [True, True]
+
+    def loss(x, m):
+        return ops.add(ops.sum_all(ops.hadamard(x, Tensor(w))),
+                       lookup_loss(T.select_columns, m, weights))
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for action in ("backward", "backward", "drop x", "backward", "drop both"):
+        for x, m in (flat.leaves, plain):
+            if action == "backward":
+                loss(x, m).backward()
+            elif action == "drop x":
+                x.zero_grad()
+            else:
+                x.grad = None
+                m.zero_grad()
+        buffer = flat.gradient()
+        expected = [np.zeros(t.shape) if t.grad is None else t.grad for t in plain]
+        assert same(buffer, np.concatenate([e.ravel() for e in expected])), action
+        for t, ref in zip(flat.leaves, plain):
+            assert (t.grad is None) == (ref.grad is None), action
+            if t.grad is not None:
+                assert same(t.grad, ref.grad) and t.grad.base is flat.grads
+        if action == "backward":
+            assert np.signbit(flat.leaves[0].grad[0]).all()  # the -0.0 entries kept
+
+
 def test_owning_wraps_without_a_copy():
     data = np.zeros((2, 3))
     t = Tensor.owning(data, requires_grad=True)

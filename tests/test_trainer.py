@@ -1,5 +1,7 @@
 import hashlib
 import io
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ from nnma.embeddings import Vocabulary
 from nnma.metrics import evaluate
 from nnma.model import NnmaModel
 from nnma.rng import Rng
-from nnma.tensor import Tensor, select_columns, topo_order
+from nnma.tensor import FlatParams, Tensor, select_columns, topo_order
 from nnma.trainer import (
     SWEEP_WORDS,
     Hyperparams,
@@ -140,9 +142,164 @@ class TestMomentumSgd:
             opt.step()
             assert np.all(emb.data != before)
 
+    @pytest.mark.parametrize("where", ["lone tensor", "network row"])
+    def test_wrong_gradient_shape_names_both_shapes(self, where):
+        # A lone tensor's step checks the shape; a network row's gradient
+        # view refuses the array when it is set.
+        if where == "lone tensor":
+            params = [Tensor([[1.0], [2.0]], requires_grad=True)]
+            p = params[0]
+        else:
+            model, _ = tiny_setup()
+            params = model.network_parameters()
+            p = model.levels[0].arg1.w_b
+        opt = MomentumSgd(params, rate=0.1, momentum=0.9)
+        wrong = (p.cols, p.rows + 1)
+        before = [q.data.copy() for q in params]
+        with pytest.raises(ValueError, match=re.escape(
+                f"gradient shape {wrong} != parameter shape {p.shape}")):
+            p.grad = np.ones(wrong)
+            opt.step()
+        for q, kept in zip(params, before):
+            np.testing.assert_array_equal(q.data, kept)
+
+    def test_several_tensors_outside_one_layout_are_refused(self):
+        a = Tensor([[1.0]], requires_grad=True)
+        b = Tensor([[2.0]], requires_grad=True)
+        with pytest.raises(ValueError, match="FlatParams"):
+            MomentumSgd([a, b], rate=0.1, momentum=0.9)
+        model, _ = tiny_setup()
+        with pytest.raises(ValueError, match="FlatParams"):
+            MomentumSgd(model.network_parameters()[1:], rate=0.1, momentum=0.9)
+
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def overfit_setup(seed):
+    """A model at the acceptance overfit shape (d 16, d_m 32, d_e 50,
+    k 2) and its synthetic corpus of 10-16 token arguments."""
+    ds = synth_generate(seed, 40, vocab_size=32, len_range=(10, 16))
+    model = NnmaModel.create(Vocabulary.from_instances(ds.instances), ds.label_inventory(),
+                             d_e=50, d=16, d_m=32, k=2, rng=Rng(seed))
+    return model, ds
+
+
+class TestFlatGroup:
+    """The network group as one buffer: every tensor, its gradient and
+    its velocity at the table offset of one flat array each, stepped in
+    one sweep, against ``per_op.MomentumSgd``'s per-tensor passes."""
+
+    def test_tensors_sit_in_the_group_buffers_at_table_offsets(self):
+        model, ds = tiny_setup(k=2)
+        net = model.network_parameters()
+        flat = FlatParams.of(net)
+        assert flat is not None and flat.values is model.buffers()[1]
+        opt = MomentumSgd(net, rate=0.1, momentum=0.9)
+        model.loss(model.forward(ds.instances[0]), 0).backward()
+        velocities = opt.velocities
+        offset = 0
+        for spec, p, v in zip(model.table[1:], net, velocities):
+            assert p.shape == v.shape == spec.shape
+            for array, buffer in ((p.data, flat.values), (p.grad, flat.grads),
+                                  (v, velocities[0].base)):
+                assert array.base is buffer and array.flags.c_contiguous
+                assert array.ctypes.data == buffer.ctypes.data + 8 * offset
+            offset += math.prod(spec.shape)
+        assert offset == flat.values.size == flat.grads.size == velocities[0].base.size
+        model.buffers()[1][:] = 7.0
+        assert all(np.all(p.data == 7.0) for p in net)
+
+    def test_unset_hand_set_and_added_gradients_reach_the_step(self):
+        # Twin models, one stepped by the flat sweep and one by per-tensor
+        # passes, get the same backward pass and the same edits by hand.
+        rng = np.random.default_rng(3)
+        sides = []
+        for opt_class in (MomentumSgd, per_op.MomentumSgd):
+            model, ds = tiny_setup(seed=4, k=2)
+            opt = opt_class(model.network_parameters(), rate=0.5, momentum=0.9)
+            sides.append((model, opt))
+        start = [rng.uniform(-1, 1, p.shape) for p in sides[0][0].network_parameters()]
+        for model, opt in sides:
+            opt.velocities = [v.copy() for v in start]
+        # (pass, edit, row): "zero only" drops every gradient and runs no
+        # backward; "none" keeps the last step's gradients.
+        plans = [("backward", "none", 3), ("backward", "set", 10), ("backward", "add", 20),
+                 ("none", None, None), ("backward", "none", 0), ("backward", None, None),
+                 ("zero only", None, None)]
+        shapes = [p.shape for p in sides[0][0].network_parameters()]
+        for pass_, edit, row in plans:
+            by_hand = None if row is None else rng.uniform(-1, 1, shapes[row])
+            for model, opt in sides:
+                net = model.network_parameters()
+                if pass_ != "none":
+                    model.zero_grad()
+                if pass_ == "backward":
+                    model.loss(model.forward(ds.instances[0]), 0).backward()
+                if edit == "none":
+                    net[row].grad = None
+                elif edit == "set":
+                    net[row].grad = by_hand
+                elif edit == "add":
+                    net[row].grad += by_hand
+                opt.step()
+            (model, opt), (model_ref, opt_ref) = sides
+            for p, p_ref, v, v_ref in zip(model.network_parameters(),
+                                          model_ref.network_parameters(),
+                                          opt.velocities, opt_ref.velocities):
+                assert same_bits(p.data, p_ref.data), (pass_, edit)
+                assert same_bits(v, v_ref), (pass_, edit)
+                assert (p.grad is None) == (p_ref.grad is None)
+                if p.grad is not None:
+                    assert same_bits(p.grad, p_ref.grad)
+
+    def test_overfit_steps_match_the_per_tensor_step_bytewise(self):
+        # 200 train steps with dropout at the overfit shape: parameters,
+        # velocities and gradients stay byte-equal to a twin model whose
+        # two groups are stepped tensor by tensor in three passes.
+        sides = []
+        for opt_class in (MomentumSgd, per_op.MomentumSgd):
+            model, ds = overfit_setup(seed=21)
+            sides.append((model, opt_class(model.network_parameters(), 0.01, 0.9),
+                          opt_class(model.embedding_parameters(), 0.002, 0.9)))
+        (model, opt_net, opt_emb), (twin, ref_net, ref_emb) = sides
+        rng = Rng(22)
+        for step in range(200):
+            inst = ds.instances[rng.below(len(ds))]
+            gold = model.label_index(inst.label)
+            mask = dropout_mask(6 * model.d, 0.1, rng)
+            value = train_step(model, inst, gold, 1.0, opt_net, opt_emb, mask)
+            twin.zero_grad()
+            loss = twin.loss(twin.forward(inst, mask), gold, 1.0)
+            loss.backward()
+            ref_net.step()
+            ref_emb.step()
+            assert value == loss.item(), step
+            for p, p_ref in zip(model.parameters(), twin.parameters()):
+                assert same_bits(p.data, p_ref.data), step
+                assert same_bits(p.grad, p_ref.grad), step
+            for v, v_ref in zip(opt_net.velocities + opt_emb.velocities,
+                                ref_net.velocities + ref_emb.velocities):
+                assert same_bits(v, v_ref), step
+
+    def test_network_step_allocates_no_gathered_copy(self):
+        # One step over the paper-size network group (d 50, d_m 200) must
+        # not gather the group into a new array of 8 n bytes.
+        model = NnmaModel.create(Vocabulary(["a", "b"]), ["A", "B"], d_e=50, d=50, d_m=200,
+                                 k=2, rng=Rng(8))
+        net = model.network_parameters()
+        n = sum(p.data.size for p in net)
+        opt_net = MomentumSgd(net, 0.01, 0.9)
+        model.loss(model.forward(Instance("A", ["a", "b"], ["b"])), 0).backward()
+        opt_net.step()
+        tracemalloc.start()
+        try:
+            opt_net.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
 
 class TestCompactMomentum:
@@ -453,6 +610,18 @@ class TestFit:
         report = fit(model, ds, ds, tiny_hp(max_epochs=4))
         assert evaluate(model, ds).macro_f1 == report.best_dev_f1
         assert report.best_epoch >= 1
+
+    def test_model_ends_at_the_best_epochs_bytes(self):
+        # The best-dev snapshot and the final restore cover both groups.
+        model, ds = tiny_setup(seed=14)
+        after_epoch = []
+        report = fit(model, ds, ds, tiny_hp(max_epochs=6),
+                     log=lambda line: after_epoch.append([b.copy() for b in model.buffers()]))
+        assert report.best_epoch < len(report.epochs)
+        for buffer, best in zip(model.buffers(), after_epoch[report.best_epoch - 1]):
+            assert same_bits(buffer, best)
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(after_epoch[-1], after_epoch[report.best_epoch - 1]))
 
     def test_training_reduces_loss(self):
         ds = synth_generate(9, 24, vocab_size=12, len_range=(3, 5))
