@@ -29,8 +29,8 @@ name, shape and initialization of every tensor, in checkpoint order,
 which is also the order ``create`` draws them in. Construction, the
 checkpoint, the optimizer groups and ``nnma gradcheck``'s groups all
 read it. The header fixes every array shape, so the payload carries no
-framing; any length mismatch is a hard error and no partial model is
-returned.
+framing; any length mismatch is a hard error, and so is a NaN or
+infinite value. No partial model is returned.
 
 The parameters live in two buffers, one per optimizer group
 (``buffers``): the embedding matrix, and every other row laid out in
@@ -58,7 +58,7 @@ from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from .recurrent import encode_pair
 from .rng import Rng
 from .tensor import (FlatParams, ParamGroup, ShapeError, Tensor, _make, nll_from_logits,
-                     no_grad, scale, softmax)
+                     no_grad, runs, scale, softmax)
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
@@ -164,12 +164,6 @@ class Prediction:
     predicted: list[int]
     trace: AttentionTrace
     logits: Tensor
-
-    @property
-    def predicted_label(self) -> int:
-        """The argmax label index of a one-instance prediction."""
-        (label,) = self.predicted
-        return label
 
 
 class NnmaModel:
@@ -405,19 +399,25 @@ class NnmaModel:
             raise CheckpointError(f"trailing bytes after parameter payload: {left} "
                                   f"bytes, the header implies {expected}")
 
-        embeddings = cls._read_floats(fh, math.prod(table[0].shape))
-        network = cls._read_floats(fh, sum(math.prod(spec.shape) for spec in table[1:]))
+        embeddings = cls._read_group(fh, table[:1])
+        network = cls._read_group(fh, table[1:])
         return cls(vocab, labels, dims["d_e"], dims["d"], dims["d_m"], dims["k"],
                    Tensor.owning(embeddings.reshape(table[0].shape), requires_grad=True),
                    network)
 
     @staticmethod
-    def _read_floats(fh: IO[bytes], count: int) -> np.ndarray:
-        """The next ``count`` little-endian float64 values, read in one call
-        into a new native array."""
-        out = np.empty(count, dtype="<f8")
+    def _read_group(fh: IO[bytes], specs: Sequence[ParamSpec]) -> np.ndarray:
+        """The values of the rows ``specs`` as one 1-D array: the next
+        little-endian float64s, read in one call into a new native array.
+        A NaN or infinite value is refused, naming the first row that
+        holds one."""
+        out = np.empty(sum(math.prod(spec.shape) for spec in specs), dtype="<f8")
         if fh.readinto(out) != out.nbytes:
             raise CheckpointError("truncated checkpoint: short read of the payload")
+        if not np.isfinite(out).all():
+            for spec, run in zip(specs, runs(out, [spec.shape for spec in specs])):
+                if not np.isfinite(run).all():
+                    raise CheckpointError(f"non-finite value in parameter {spec.name}")
         return out.astype(np.float64, copy=False)
 
     @staticmethod

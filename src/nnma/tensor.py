@@ -15,9 +15,9 @@ such as a parameter or an input; intermediate results pass their
 adjoint on and keep no ``.grad``. A column lookup's backward yields a
 compact ``ColumnGrad`` (the touched columns only), so a parameter read
 a few columns at a time never sees a dense adjoint. Such a leaf keeps
-its gradient compact, one block over the columns that can be nonzero
-(``grad_columns``); ``compact_grad`` hands out that block, and ``.grad``
-builds the dense array only when it is first read.
+its gradient compact, one ``ColumnGrad`` block over the columns that can
+be nonzero; ``compact_grad`` hands out that block, and ``.grad`` builds
+the dense array only when it is first read.
 
 ``FlatParams`` lays a group of parameters out as consecutive views of
 one buffer, as a flat-parameter layout does: each leaf's ``.data`` is a
@@ -52,16 +52,16 @@ class Tensor:
             shape of ``data``; ``None`` until a backward pass reaches this
             tensor, and always ``None`` on the result of a recorded
             operation: only leaves (parameters and inputs) receive one.
-            A gradient kept compact (see ``grad_columns``) is made dense
-            on the first read and stays dense. Repeated backward calls
-            keep adding; call ``zero_grad`` between steps.
-        grad_columns: sorted columns outside which ``grad`` is zero, set
-            when one backward pass reached this leaf only through column
-            lookups; the gradient is then kept as one block over these
-            columns until ``grad`` is read. ``None`` means any column.
-            Setting ``grad`` (also ``+=`` on it) or accumulating a second
-            backward pass resets it to ``None``, so it never restricts a
-            gradient it did not see.
+            Repeated backward calls keep adding; call ``zero_grad``
+            between steps. Setting it checks the shape.
+
+    ``_grad`` is the one record of the gradient: ``None``, a dense array,
+    or, when one backward pass reached the leaf only through column
+    lookups, a ``ColumnGrad`` block over the columns that can be nonzero.
+    Reading ``grad`` makes that block dense for good; setting ``grad``
+    (also ``+=`` on it) or accumulating a second backward pass leaves a
+    dense array, so the columns never restrict a gradient they did not
+    see.
 
     A leaf of a ``FlatParams`` layout has a gradient view: its run of
     the layout's gradient buffer. Its dense gradient is kept there, never
@@ -69,8 +69,7 @@ class Tensor:
     signed zeros included, and later ones add to it in place.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_grad_columns", "_grad_view", "_flat",
-                 "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_grad", "_grad_view", "_flat", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -86,7 +85,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self._grad: np.ndarray | ColumnGrad | None = None
-        self._grad_columns: list[int] | None = None
         self._grad_view: np.ndarray | None = None
         self._flat: FlatParams | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -126,47 +124,34 @@ class Tensor:
     @property
     def grad(self) -> np.ndarray | None:
         """The dense gradient. On a leaf with a gradient view it is the
-        view itself: setting an array copies it in (a shape other than
-        the parameter's raises ``ValueError``)."""
+        view itself: setting an array copies it in. Setting an array of
+        a shape other than the parameter's raises ``ValueError``."""
         if type(self._grad) is ColumnGrad:
             self._grad = self._grad.dense()
         return self._grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        view = self._grad_view
-        if view is not None:
-            if value is None:
-                self._flat.stale.add(self)
-            else:
-                if value is not view:
-                    if np.shape(value) != view.shape:
-                        raise ValueError(f"gradient shape {np.shape(value)} != "
-                                         f"parameter shape {view.shape}")
-                    view[...] = value
-                    value = view
-                self._flat.stale.discard(self)
+        if value is not None:
+            if np.shape(value) != self.data.shape:
+                raise ValueError(f"gradient shape {np.shape(value)} != "
+                                 f"parameter shape {self.data.shape}")
+            view = self._grad_view
+            if view is not None and value is not view:
+                view[...] = value
+                value = view
         self._grad = value
-        self._grad_columns = None
 
     @property
-    def grad_columns(self) -> list[int] | None:
-        return self._grad_columns
-
-    @property
-    def compact_grad(self) -> tuple[list[int] | np.ndarray | None, np.ndarray | None]:
-        """``(columns, grad[:, columns])`` when ``grad_columns`` is set:
-        while the gradient is kept compact, the columns as an index array
-        and the kept block itself; once ``grad`` has been read,
-        ``grad_columns`` and a gather from the dense array. ``(None, grad)``
-        when any column may be nonzero, and ``(None, None)`` with no
-        gradient. Never makes the dense ``grad``."""
-        g, cols = self._grad, self._grad_columns
+    def compact_grad(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(columns, grad[:, columns])`` while the gradient is kept
+        compact: the columns as a sorted index array and the kept block
+        itself. ``(None, grad)`` once it is dense, and ``(None, None)``
+        with no gradient. Never makes the dense ``grad``."""
+        g = self._grad
         if type(g) is ColumnGrad:
             return g.parts[0]
-        if g is None or cols is None:
-            return None, g
-        return cols, g[:, cols]
+        return None, g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -211,7 +196,6 @@ class Tensor:
             if type(g) is ColumnGrad:
                 if node._grad is None and node._grad_view is None:
                     node._grad = g.merged()
-                    node._grad_columns = node._grad.parts[0][0].tolist()
                     continue
                 g = g.dense()
             if node._grad is None:
@@ -220,11 +204,9 @@ class Tensor:
                 else:
                     node._grad_view[...] = g
                     node._grad = node._grad_view
-                    node._flat.stale.discard(node)
             else:
                 grad = node.grad  # a kept block is made dense here
                 grad += g
-            node._grad_columns = None
 
 
 class ColumnGrad:
@@ -247,16 +229,13 @@ class ColumnGrad:
         self.shape = shape
         self.parts = parts
 
-    def columns(self) -> list[int]:
-        return sorted({c for cols, _ in self.parts for c in cols})
-
     def merged(self) -> "ColumnGrad":
         """The parts as one: every used column, sorted, as an index array,
         with a block that starts from zeros and adds the parts in order.
         Its ``dense()`` is this one's bit for bit, signed zeros and
         repeated columns alike, since a sum that starts from +0.0 is
         never -0.0."""
-        cols = np.array(self.columns(), dtype=np.intp)
+        cols = np.array(sorted({c for cols, _ in self.parts for c in cols}), dtype=np.intp)
         block = np.zeros((self.shape[0], cols.size))
         for part_cols, part in self.parts:
             block[:, np.searchsorted(cols, part_cols)] += part
@@ -311,8 +290,9 @@ class FlatParams:
     Dropping a leaf's gradient (``grad = None``, ``zero_grad``) does not
     zero its run at once: at the paper shape a 2.9 MB fill before every
     backward pass, which overwrites nearly every run again, cost more
-    than the flat step saved. The leaf is kept in ``stale`` instead,
-    until a write gives it a gradient again or ``gradient`` zeroes it.
+    than the flat step saved. The run holds old values exactly while the
+    leaf's ``_grad`` is ``None``: a write gives it a gradient again, and
+    ``gradient`` zeroes the run of each leaf still without one.
     """
 
     def __init__(self, values: np.ndarray, shapes: Sequence[tuple[int, int]]):
@@ -324,14 +304,13 @@ class FlatParams:
         for leaf, view in zip(self.leaves, runs(self.grads, shapes)):
             leaf._grad_view = view
             leaf._flat = self
-        self.stale: set[Tensor] = set()
 
     def gradient(self) -> np.ndarray:
         """The gradient buffer: every leaf's gradient in its run, zeros in
         the run of a leaf without one."""
-        for leaf in self.stale:
-            leaf._grad_view.fill(0.0)
-        self.stale.clear()
+        for leaf in self.leaves:
+            if leaf._grad is None:
+                leaf._grad_view.fill(0.0)
         return self.grads
 
     @staticmethod

@@ -78,9 +78,9 @@ class MomentumSgd:
 
     A parameter whose grad is unset contributes a zero gradient (its
     velocity still decays): in a flat layout its gradient run holds
-    zeros, and ``v - rate * 0.0`` is ``v`` bit for bit. Where a lone
-    tensor's gradient names its nonzero columns (``grad_columns``, from
-    embedding lookups), the step reads only their compact block, never
+    zeros, and ``v - rate * 0.0`` is ``v`` bit for bit. While a lone
+    tensor's gradient is kept compact (``compact_grad``, from embedding
+    lookups), the step reads only the block of its used columns, never
     the dense ``grad``, and subtracts it in those columns alone.
     """
 
@@ -112,18 +112,12 @@ class MomentumSgd:
             v[...] = a
 
     def gradient(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(columns, grad)`` as the step reads it: the flat gradient run
-        of a laid-out group (``columns`` None), or a lone tensor's
-        ``compact_grad``, checked against the parameter's shape."""
+        """``(columns, grad)`` as the step reads it: the flat gradient
+        buffer of a laid-out group (``columns`` None), or a lone tensor's
+        ``compact_grad``."""
         if self._flat is not None:
             return None, self._flat.gradient()
-        (p,) = self.params
-        cols, grad = p.compact_grad
-        if grad is not None:
-            want = p.shape if cols is None else (p.rows, len(cols))
-            if grad.shape != want:
-                raise ValueError(f"gradient shape {grad.shape} != parameter shape {want}")
-        return cols, grad
+        return self.params[0].compact_grad
 
     def step(self) -> None:
         cols, grad = self.gradient()

@@ -74,7 +74,7 @@ def test_batched_equals_one_at_a_time(pairs, k, seed):
             ref = alone[i]
             np.testing.assert_allclose(prediction.probabilities.data[:, j:j + 1],
                                        ref.probabilities.data, rtol=0, atol=1e-12)
-            assert prediction.predicted[j] == ref.predicted_label
+            assert prediction.predicted[j] == ref.predicted[0]
             assert len(trace.levels) == k
             for got, want in zip(trace.levels, ref.trace.levels):
                 assert got.a1.shape == want.a1.shape and got.a2.shape == want.a2.shape

@@ -1,11 +1,13 @@
 """The benchmark runs against this checkout and passes its own checks.
 
 One short overfit run untraced and one traced, and one short paper-shape
-run untraced, each in a child process as the benchmark is run
-(``python3 bench/run.py``). A change that breaks an interface the
+and inference run untraced, each in a child process as the benchmark is
+run (``python3 bench/run.py``). A change that breaks an interface the
 benchmark or its tracer uses fails here. The paper run's momentum and
 finite-difference checks see a 50 x 20k embedding matrix, which the
-optimizer sweeps in several blocks; the overfit matrix is one block.
+optimizer sweeps in several blocks; the overfit matrix is one block. The
+inference run loads a paper-shape checkpoint as ``nnma eval`` does and
+checks the momentum step on the loaded model.
 """
 
 import json
@@ -43,3 +45,9 @@ def test_overfit_run_is_correct(trace):
 
 def test_paper_run_is_correct():
     assert bench("paper", 0)["train_rate"]["value"] > 0
+
+
+def test_inference_run_is_correct():
+    metrics = bench("inference", 0)
+    assert metrics["eval_rate"]["value"] > 0
+    assert metrics["analyze_rate"]["value"] > 0

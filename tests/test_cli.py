@@ -257,7 +257,7 @@ class TestTrain:
         with open(workspace / "data" / "test.tsv", encoding="utf-8") as fh:
             ds = parse_tsv(fh)
         pred = model.forward(ds.instances[0])
-        assert model.label_names[pred.predicted_label] in LABELS
+        assert model.label_names[pred.predicted[0]] in LABELS
 
     def test_reruns_are_byte_identical(self, tmp_path):
         assert run_synth(tmp_path / "data") == 0

@@ -88,7 +88,7 @@ class TestEvaluate:
         model = tiny_model()
         ds = tiny_dataset()
         result = evaluate(model, ds)
-        preds = [model.label_names[model.forward(inst).predicted_label]
+        preds = [model.label_names[model.forward(inst).predicted[0]]
                  for inst in ds.instances]
         golds = [inst.label for inst in ds.instances]
         again = macro_f1(preds, golds, model.label_names)
@@ -103,7 +103,7 @@ class TestEvaluate:
                 plain = model.forward(inst)
             np.testing.assert_array_equal(plain.probabilities.data,
                                           recorded.probabilities.data)
-            assert plain.predicted_label == recorded.predicted_label
+            assert plain.predicted[0] == recorded.predicted[0]
             for a, b in zip(plain.trace.levels, recorded.trace.levels):
                 np.testing.assert_array_equal(a.a1.data, b.a1.data)
                 np.testing.assert_array_equal(a.a2.data, b.a2.data)

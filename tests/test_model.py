@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,9 +52,9 @@ class TestForward:
 
     def test_argmax_stable_under_logit_shift(self):
         model = tiny_model(seed=4)
-        before = model.forward(tiny_instance()).predicted_label
+        before = model.forward(tiny_instance()).predicted[0]
         model.b_p.data += 17.5
-        after = model.forward(tiny_instance()).predicted_label
+        after = model.forward(tiny_instance()).predicted[0]
         assert before == after
 
     def test_evaluation_deterministic(self):
@@ -327,7 +328,7 @@ class TestCheckpointFuzz:
         path = root / "mutated.ckpt"
         path.write_bytes(bytes(mutated))
         err = io.StringIO()
-        # A flipped payload byte can load as an inf or NaN weight, whose
+        # A flipped payload byte can load as a huge finite weight, whose
         # forward pass overflows; numpy's warnings about it are not checked.
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                 np.errstate(all="ignore"):
@@ -336,6 +337,30 @@ class TestCheckpointFuzz:
         assert code == 2 if refused else code in (0, 2)
         if code == 2:
             assert err.getvalue().startswith("error:")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", ["embeddings", "level1.arg1.w_b"])
+    def test_non_finite_payload_is_refused(self, fuzz_inputs, tmp_path, row, value):
+        # A NaN or infinite weight in either group is refused, naming the
+        # first row that holds one (``classifier.b_p`` comes later), and
+        # ``nnma eval`` exits 2 with an error line instead of scoring.
+        root, _, tsv = fuzz_inputs
+        model = tiny_model(seed=15)
+        named = dict(zip((spec.name for spec in model.table), model.parameters()))
+        named[row].data[-1, -1] = value
+        named["classifier.b_p"].data[0, 0] = value
+        path = tmp_path / "bad.ckpt"
+        model.save(path)
+        with pytest.raises(CheckpointError,
+                           match=f"non-finite value in parameter {re.escape(row)}$"):
+            NnmaModel.load(path)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--model", str(path), "--data", str(tsv), "--task", "four",
+                         "--out", str(tmp_path / "report.txt")])
+        assert code == 2
+        assert err.getvalue().startswith("error:") and row in err.getvalue()
+        assert not (tmp_path / "report.txt").exists()
 
 
 def test_golden_checkpoint_bytes():

@@ -440,7 +440,8 @@ def lookup_grads(source, count, dense_first=None):
     for select in (T.select_columns, ops.select_columns):
         m.zero_grad()
         lookup_loss(select, source(m), weights, dense_first).backward()
-        out.append((m.grad.tobytes(), m.grad_columns))
+        cols = m.compact_grad[0]  # read before ``.grad`` makes it dense
+        out.append((m.grad.tobytes(), None if cols is None else cols.tolist()))
     return out
 
 
@@ -475,13 +476,13 @@ def test_compact_lookup_grad_accumulates_over_backward_calls():
     weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS]
     loss = lookup_loss(T.select_columns, m, weights)
     loss.backward()
+    assert m.compact_grad[0].tolist() == [0, 1, 2, 5, 7, 9]
     first = m.grad.copy()
-    assert m.grad_columns == [0, 1, 2, 5, 7, 9]
     loss.backward()
     assert np.array_equal(m.grad, 2 * first)
-    assert m.grad_columns is None  # accumulated: any column
+    assert m.compact_grad[0] is None  # accumulated: any column
     m.zero_grad()
-    assert m.grad is None and m.grad_columns is None
+    assert m.grad is None and m.compact_grad == (None, None)
 
 
 def test_compact_grad_is_the_dense_grad_in_the_used_columns():
@@ -493,15 +494,14 @@ def test_compact_grad_is_the_dense_grad_in_the_used_columns():
     weights = [Tensor(rng.uniform(-1, 1, (3, len(idx)))) for idx in LOOKUPS]
     lookup_loss(T.select_columns, m, weights).backward()
     cols, block = m.compact_grad
-    assert cols.dtype == np.intp and list(cols) == m.grad_columns == [0, 1, 2, 5, 7, 9]
+    assert cols.dtype == np.intp and list(cols) == [0, 1, 2, 5, 7, 9]
     assert m.compact_grad[1] is block  # kept, not rebuilt
     dense = m.grad
     assert dense.shape == m.shape and m.grad is dense
     assert dense[:, cols].tobytes() == block.tobytes()
     rest = [c for c in range(10) if c not in cols]
     assert not np.any(dense[:, rest])
-    cols_after, block_after = m.compact_grad  # now gathered from the dense grad
-    assert list(cols_after) == m.grad_columns and block_after.tobytes() == block.tobytes()
+    assert m.compact_grad[0] is None and m.compact_grad[1] is dense  # dense from now on
     m.grad = dense.copy()
     assert m.compact_grad[0] is None and m.compact_grad[1] is m.grad
     m.zero_grad()
@@ -512,7 +512,8 @@ def test_flat_leaves_keep_a_plain_leafs_gradient_bits():
     # Leaves of one FlatParams layout against plain leaves of the same
     # values: the first write copies the adjoint (its -0.0 entries too),
     # a second backward adds, a dropped gradient reads as zeros in the
-    # layout's gradient buffer, and lookups of a flat leaf land dense.
+    # layout's gradient buffer (also one set by hand and then dropped,
+    # and on a second read), and lookups of a flat leaf land dense.
     rng = np.random.default_rng(15)
     x0, m0 = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (3, 10))
     w = rng.uniform(-1, 1, (2, 3))
@@ -529,18 +530,24 @@ def test_flat_leaves_keep_a_plain_leafs_gradient_bits():
     def same(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    for action in ("backward", "backward", "drop x", "backward", "drop both"):
+    actions = ("backward", "backward", "drop x", "backward", "drop both", "set and drop x",
+               "backward", "set and drop x")
+    for action in actions:
         for x, m in (flat.leaves, plain):
             if action == "backward":
                 loss(x, m).backward()
             elif action == "drop x":
                 x.zero_grad()
-            else:
+            elif action == "drop both":
                 x.grad = None
                 m.zero_grad()
-        buffer = flat.gradient()
+            else:
+                x.grad = np.full(x.shape, 5.0)
+                x.grad = None
         expected = [np.zeros(t.shape) if t.grad is None else t.grad for t in plain]
-        assert same(buffer, np.concatenate([e.ravel() for e in expected])), action
+        for _ in range(2):
+            buffer = flat.gradient()
+            assert same(buffer, np.concatenate([e.ravel() for e in expected])), action
         for t, ref in zip(flat.leaves, plain):
             assert (t.grad is None) == (ref.grad is None), action
             if t.grad is not None:
