@@ -34,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import ParamGroup, ShapeError, Tensor, _make, recording, segments, spans
+from .tensor import (ParamGroup, ShapeError, Tensor, _make, claim_runs, recording, segments,
+                     spans)
 
 
 @dataclass
@@ -162,6 +163,12 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     and R) in the order that graph's reverse sweep reached its
     consumers, so gradients are the same bits. Under ``no_grad`` nothing
     is kept for a backward pass.
+
+    Each weight's gradient is one product. When no weight of the stack
+    has a gradient yet and each is a ``FlatParams`` leaf, as a model's
+    are, the products are computed straight into the weights' gradient
+    runs (``tensor.claim_runs``); else they are given to
+    ``Tensor.backward`` as the weights' adjoints.
     """
     if len(params) == 0:
         raise ValueError("attention stack needs at least one level")
@@ -201,6 +208,11 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     # input's, then each side's repeat's; R gets the next memory input's
     # (the classifier's at the top), then the difference R1 - R2's.
     def vjp(g: np.ndarray):
+        claimed = claim_runs(tensors)
+
+        def product(a: np.ndarray, b: np.ndarray, weight: Tensor) -> np.ndarray:
+            return np.matmul(a, b, out=weight._grad_view if claimed else None)
+
         dR = [g[:n], g[n:]]
         dM = None
         dH = [None, None]
@@ -223,10 +235,11 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
                                       for s, t in b], 1))
                 d_read = d_read if dH[side] is None else dH[side] + d_read
                 dH[side] = d_read + q.w_a.data.T @ dpre
-                weights += [dpre @ X.T, dpre @ rep.T, dscore @ o.T]
+                weights += [product(dpre, X.T, q.w_a), product(dpre, rep.T, q.w_b),
+                            product(dscore, o.T, q.w_s)]
             dM = repeats[0] + repeats[1] if dM is None else dM + repeats[0] + repeats[1]
             dZ = dM * (1.0 - M * M)
-            grads[k] = [dZ @ S.T] + weights
+            grads[k] = [product(dZ, S.T, p.w_m)] + weights
             dS = p.w_m.data.T @ dZ
             dD = dS[2 * n:3 * n]
             dR = [dS[:n] + dD, dS[n:2 * n] - dD]
@@ -235,6 +248,8 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
             dH[side] = dH[side] + _join([np.repeat(dR[side][:, j:j + 1] * (1.0 / (t - s)),
                                                    t - s, axis=1)
                                          for j, (s, t) in enumerate(bounds[side])], 1)
+        if claimed:
+            return (dH[0], dH[1], *[None] * len(tensors))
         return (dH[0], dH[1], *(w for level in grads for w in level))
 
     final = _make(np.concatenate(R), (h1, h2, *tensors), vjp)

@@ -57,8 +57,8 @@ from .corpus import Instance
 from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from .recurrent import encode_pair
 from .rng import Rng
-from .tensor import (FlatParams, ParamGroup, ShapeError, Tensor, _make, nll_from_logits,
-                     no_grad, runs, scale, softmax)
+from .tensor import (FlatParams, ParamGroup, ShapeError, Tensor, _make, claim_runs,
+                     nll_from_logits, no_grad, runs, scale, softmax)
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
@@ -130,7 +130,10 @@ def classify(final: Tensor, w_p: Tensor, b_p: Tensor,
     of each column of ``final`` = [R1; R2], as one recorded operation.
     Its backward pass takes the products in the order and operand layout
     the per-product graph (concat, sub, hadamard, matmul, add_bias) did,
-    so gradients are the same bits."""
+    so gradients are the same bits. The gradients of W_p and b_p are
+    computed straight into their gradient runs when both are
+    ``FlatParams`` leaves without a gradient yet (``tensor.claim_runs``),
+    and given to ``Tensor.backward`` as their adjoints otherwise."""
     n = final.rows // 2
     if final.rows % 2 or w_p.cols != 3 * n or b_p.shape != (w_p.rows, 1):
         raise ShapeError(f"classifier {w_p.shape} + {b_p.shape} does not fit "
@@ -148,7 +151,10 @@ def classify(final: Tensor, w_p: Tensor, b_p: Tensor,
             dF = dF * dropout_mask.data
         dD = dF[2 * n:]
         dR = np.concatenate([dF[:n] + dD, dF[n:2 * n] - dD])
-        return dR, g @ feature.T, g.sum(axis=1, keepdims=True)
+        claimed = claim_runs((w_p, b_p))
+        dW = np.matmul(g, feature.T, out=w_p._grad_view if claimed else None)
+        db = np.sum(g, axis=1, keepdims=True, out=b_p._grad_view if claimed else None)
+        return (dR, None, None) if claimed else (dR, dW, db)
 
     return _make(w_p.data @ feature + b_p.data, (final, w_p, b_p), vjp)
 

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import (ParamGroup, ShapeError, Tensor, _make, column_block, recording,
-                     segments, spans)
+from .tensor import (ParamGroup, ShapeError, Tensor, _make, claim_runs, column_block,
+                     recording, runs, segments, spans)
 
 
 def _reading_rows(x: np.ndarray, bounds: list[tuple[int, int]], backward: bool) -> np.ndarray:
@@ -115,6 +115,18 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
     not recorded (``no_grad``), the per-step gate values that only the
     backward pass reads are not kept. h1 and h2 are two column blocks
     of the operation's 2d x (N1 + N2) output.
+
+    The parameters are read where they lie: ``p1`` and ``p2`` must be
+    consecutive runs of one ``FlatParams`` layout, ``p2`` right after
+    ``p1``, each in the parameter table's order, as a model's encoders
+    are. Each direction's rows W_i to W_c, then b_i to b_c, are then one
+    contiguous run, and the four directions sit one run apart, so the
+    stacked (4, 4d, d_e + d) weights and (4, 4d) biases are views of the
+    layout's values. The backward pass computes each direction's weight
+    gradient as one product, and its bias gradient as one row sum,
+    straight into the same views of the layout's gradients when no
+    encoder parameter has a gradient yet (``tensor.claim_runs``); else it
+    gives them to ``Tensor.backward`` as the parameters' adjoints.
     """
     n_in, d = x1.rows, p1.forward.W_i.rows
     if min(x1.cols, x2.cols) == 0:
@@ -126,15 +138,20 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
     if len(sizes[1]) != batch:
         raise ShapeError(f"{batch} first and {len(sizes[1])} second arguments")
     directions = (p1.forward, p1.backward, p2.forward, p2.backward)
-    params = [t for p in directions for t in p.tensors()]
-    weights = [t.data for p in directions for t in (p.W_i, p.W_f, p.W_o, p.W_c)]
-    biases = [t.data for p in directions for t in (p.b_i, p.b_f, p.b_o, p.b_c)]
-    if (any(w.shape != (d, n_in + d) for w in weights)
-            or any(v.shape != (d, 1) for v in biases)):
+    params = [t for p in directions
+              for t in (p.W_i, p.W_f, p.W_o, p.W_c, p.b_i, p.b_f, p.b_o, p.b_c)]
+    if any(t.shape != ((d, n_in + d) if i % 8 < 4 else (d, 1)) for i, t in enumerate(params)):
         raise ShapeError(f"gate parameters do not all fit a {n_in}-row input "
                          f"with hidden size {d}")
-    W = np.concatenate(weights).reshape(4, 4 * d, n_in + d)
-    b = np.concatenate(biases).reshape(4, 4 * d)
+    span1, span2 = p1.span, p2.span
+    if (span1 is None or span2 is None or span2[0] is not span1[0] or span2[1] != span1[2]
+            or params != p1.tensors() + p2.tensors()):
+        raise ShapeError("encode_pair reads its parameters from one FlatParams layout: "
+                         "p1 then p2, each in the parameter table's order")
+    layout, start, stop = span1[0], span1[1], span2[2]
+    cut = 4 * d * (n_in + d)
+    stacked = layout.values[start:stop].reshape(4, -1)
+    W, b = stacked[:, :cut].reshape(4, 4 * d, n_in + d), stacked[:, cut:]
     W_x, W_h = W[:, :, :n_in], W[:, :, n_in:]
     # Direction k reads argument k // 2, last word first when k is odd
     # (``_reading_rows``). Instance j's words are columns s:t of its
@@ -188,7 +205,10 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
         # operand shapes and layouts of a lone direction's, so that a
         # batch of one rounds as a lone direction does.
         dX = [np.empty((x1.cols, n_in)), np.empty((x2.cols, n_in))]
-        grads = []
+        claimed = claim_runs(params)
+        into = (layout.grads[start:stop].reshape(4, -1) if claimed
+                else np.empty(stacked.shape))
+        dW, db = into[:, :cut].reshape(4, 4 * d, n_in + d), into[:, cut:]
         for k in range(4):
             sizes_k = [(j, t - s) for j, (s, t) in enumerate(bounds[k // 2])]
             DA_k = np.concatenate([DA[:n, k, :, j] for j, n in sizes_k])
@@ -200,11 +220,14 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
                     dX[k // 2][s:t] += dX_k[s:t][::-1]
                 else:
                     dX[k // 2][s:t] = dX_k[s:t]
-            dW = DA_k.T @ np.hstack([X[k], h_prev])
-            db = DA_k.sum(axis=0).reshape(-1, 1)
-            grads += [dW[g * d:(g + 1) * d] for g in range(4)]
-            grads += [db[g * d:(g + 1) * d] for g in range(4)]
-        return (np.ascontiguousarray(dX[0].T), np.ascontiguousarray(dX[1].T), *grads)
+            np.matmul(DA_k.T, np.hstack([X[k], h_prev]), out=dW[k])
+            np.sum(DA_k, axis=0, out=db[k])
+        dx = (np.ascontiguousarray(dX[0].T), np.ascontiguousarray(dX[1].T))
+        if claimed:
+            return (*dx, *[None] * len(params))
+        # Each parameter's rows of its direction's products, cut as the
+        # layout cuts them.
+        return (*dx, *runs(into.reshape(-1), [t.shape for t in params]))
 
     both = _make(out, (x1, x2, *params), vjp)
     return column_block(both, 0, x1.cols), column_block(both, x1.cols, out.shape[1])

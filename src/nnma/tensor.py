@@ -23,7 +23,10 @@ the dense array only when it is first read.
 one buffer, as a flat-parameter layout does: each leaf's ``.data`` is a
 run of the values buffer, and its dense gradient lives in the same run
 of a twin gradient buffer, so an optimizer reads and writes the whole
-group in a few calls.
+group in a few calls. An operation whose parameters are such leaves
+writes each parameter-gradient product straight into their runs while
+none of them has a gradient yet (``claim_runs``); a leaf that already
+has one gets the product added by ``backward`` as any leaf does.
 
 ``grad_check`` compares those partials against central finite
 differences and is the verification oracle for everything built on top.
@@ -65,8 +68,11 @@ class Tensor:
 
     A leaf of a ``FlatParams`` layout has a gradient view: its run of
     the layout's gradient buffer. Its dense gradient is kept there, never
-    compact: the first write of a backward pass copies the adjoint in,
-    signed zeros included, and later ones add to it in place.
+    compact. While it has none, the first write of a backward pass puts
+    the adjoint there: an operation that claims the run (``claim_runs``)
+    computes its product into it, and ``backward`` copies any other
+    adjoint in, signed zeros included either way. Later writes add to it
+    in place.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "_grad_view", "_flat", "_parents", "_vjp")
@@ -172,6 +178,12 @@ class Tensor:
         is visited exactly once, in reverse topological order; the order
         is a pure function of graph construction, so repeated runs are
         bitwise identical.
+
+        An operation's vjp gives ``None`` for a parent it has no adjoint
+        for, and for the flat leaves whose runs it claimed and wrote
+        (``claim_runs``); every other adjoint a leaf receives is summed
+        in the order the sweep reaches its consumers and then copied
+        into the leaf's gradient, or added to the one it has.
         """
         if self.data.shape != (1, 1):
             raise ShapeError(f"backward() starts from a 1x1 scalar, got {self.data.shape}")
@@ -261,7 +273,13 @@ class ParamGroup:
     names, in the table's order) whose names start with ``prefix`` and a
     dot. Each next name component is an attribute: the tensor itself, or
     the group one level down, so ``ParamGroup("enc1", named).forward.W_i``
-    is ``named["enc1.forward.W_i"]``."""
+    is ``named["enc1.forward.W_i"]``.
+
+    ``span`` is found once, here: ``(layout, start, stop)`` when the
+    group's tensors are consecutive leaves of one ``FlatParams`` layout,
+    in the group's order, so that their values are
+    ``layout.values[start:stop]`` and their gradient runs the same slice
+    of ``layout.grads``; None otherwise."""
 
     def __init__(self, prefix: str, named: Mapping[str, Tensor]):
         start = prefix + "."
@@ -274,6 +292,7 @@ class ParamGroup:
                     setattr(self, head, t)
                 elif head not in vars(self):
                     setattr(self, head, ParamGroup(start + head, named))
+        self.span = FlatParams.span(self._tensors)
 
     def tensors(self) -> list[Tensor]:
         """Every tensor of the group, in the table's order."""
@@ -284,8 +303,11 @@ class FlatParams:
     """Parameters laid out as consecutive runs of ``values``, a 1-D
     C-contiguous float64 buffer kept as it is: ``leaves[i].data`` is the
     run at the running sum of the sizes before it. Each leaf's dense
-    gradient is kept in the same run of a twin buffer, so an optimizer
-    reads the whole group's values and gradients as two arrays.
+    gradient is kept in the same run of a twin buffer, ``grads``, so an
+    optimizer reads the whole group's values and gradients as two arrays.
+    An operation reads its parameters as views of ``values`` and, while
+    none of them has a gradient, computes their gradients straight into
+    ``grads`` (``claim_runs``): no per-parameter array is made and copied.
 
     Dropping a leaf's gradient (``grad = None``, ``zero_grad``) does not
     zero its run at once: at the paper shape a 2.9 MB fill before every
@@ -293,6 +315,9 @@ class FlatParams:
     than the flat step saved. The run holds old values exactly while the
     leaf's ``_grad`` is ``None``: a write gives it a gradient again, and
     ``gradient`` zeroes the run of each leaf still without one.
+
+    ``starts[i]`` is the offset of leaf i's run, and ``starts[-1]`` the
+    buffer's size.
     """
 
     def __init__(self, values: np.ndarray, shapes: Sequence[tuple[int, int]]):
@@ -304,6 +329,9 @@ class FlatParams:
         for leaf, view in zip(self.leaves, runs(self.grads, shapes)):
             leaf._grad_view = view
             leaf._flat = self
+        self.starts = [0]
+        for rows, cols in shapes:
+            self.starts.append(self.starts[-1] + rows * cols)
 
     def gradient(self) -> np.ndarray:
         """The gradient buffer: every leaf's gradient in its run, zeros in
@@ -314,12 +342,45 @@ class FlatParams:
         return self.grads
 
     @staticmethod
+    def span(tensors: Sequence[Tensor]) -> "tuple[FlatParams, int, int] | None":
+        """``(layout, start, stop)`` when ``tensors`` are consecutive leaves
+        of one layout, in order: their runs are ``values[start:stop]``."""
+        flat = tensors[0]._flat if tensors else None
+        if flat is None:
+            return None
+        first = next(i for i, leaf in enumerate(flat.leaves) if leaf is tensors[0])
+        stop = first + len(tensors)
+        if stop > len(flat.leaves) or any(a is not b for a, b in
+                                          zip(flat.leaves[first:stop], tensors)):
+            return None
+        return flat, flat.starts[first], flat.starts[stop]
+
+    @staticmethod
     def of(tensors: Sequence[Tensor]) -> "FlatParams | None":
         """The layout whose leaves are exactly ``tensors``, in order."""
-        flat = tensors[0]._flat if tensors else None
-        if flat is None or len(flat.leaves) != len(tensors):
+        span = FlatParams.span(tensors)
+        if span is None or span[2] - span[1] != span[0].values.size:
             return None
-        return flat if all(a is b for a, b in zip(flat.leaves, tensors)) else None
+        return span[0]
+
+
+def claim_runs(leaves: Sequence[Tensor]) -> bool:
+    """Whether an operation's backward pass writes its products for
+    ``leaves`` straight into their gradient runs: it does when every one
+    is a ``FlatParams`` leaf that requires a gradient and has none yet.
+    Each leaf's gradient is then its run, so the caller writes every
+    entry of each run and gives ``None`` as their adjoints; otherwise
+    the caller gives its products as their adjoints, and ``backward``
+    copies or adds them in as for any leaf (a hand-set gradient, a
+    second backward pass without ``zero_grad``, a mix of both, a leaf
+    given twice)."""
+    for i, leaf in enumerate(leaves):
+        if leaf._grad is not None or leaf._grad_view is None or not leaf.requires_grad:
+            for taken in leaves[:i]:
+                taken._grad = None
+            return False
+        leaf._grad = leaf._grad_view
+    return True
 
 
 def runs(buffer: np.ndarray, shapes: Sequence[tuple[int, int]]) -> list[np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -171,6 +171,28 @@ def dropout_mask(dim: int, q: float, rng: Rng) -> Tensor:
     return Tensor(np.where(u < q, 0.0, 1.0 / (1.0 - q)))
 
 
+# Most generator words drawn at once for an epoch's dropout masks: large
+# enough that a chunk runs on the generator's lanes (2^13 words or more),
+# small enough that the chunk and its masks stay a few MB.
+MASK_CHUNK_WORDS = 1 << 18
+
+
+def dropout_masks(count: int, dim: int, q: float, rng: Rng) -> Iterator[Tensor]:
+    """``count`` masks of ``dropout_mask(dim, q, rng)``, the same bits in
+    the same order, drawn a chunk of about ``MASK_CHUNK_WORDS`` words at
+    a time: one ``uniform_matrix`` call per chunk, whose rows are the
+    per-mask draws in turn. Once every mask is taken the generator is
+    where ``count`` single draws leave it; while some are left it may be
+    up to a chunk ahead."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {q}")
+    rows = max(1, MASK_CHUNK_WORDS // dim)
+    for start in range(0, count, rows):
+        u = rng.uniform_matrix(min(rows, count - start), dim, 0.0, 1.0)
+        for mask in np.where(u < q, 0.0, 1.0 / (1.0 - q)):
+            yield Tensor(mask)
+
+
 def reweight(ds: Dataset, task: TaskSpec) -> list[float]:
     """Per-instance loss weights under a task.
 
@@ -243,12 +265,17 @@ def run_epoch(model, train: Dataset, gold: list[int], weights: list[float],
               rng: Rng) -> float:
     """One pass over ``train`` in an order shuffled from ``rng``, one
     ``train_step`` per instance, each with a fresh dropout mask; returns
-    the mean (weighted) loss. A divergence names the instance."""
+    the mean (weighted) loss. A divergence names the instance.
+
+    After the shuffle the epoch draws only masks, so they are drawn in
+    chunks (``dropout_masks``): the same masks and, after the epoch, the
+    same generator state as one ``dropout_mask`` per step. After a
+    ``TrainingDiverged`` the generator may be up to a chunk further on;
+    nothing reads it then."""
     order = list(range(len(train)))
     rng.shuffle(order)
     total = 0.0
-    for idx in order:
-        mask = dropout_mask(6 * model.d, hp.dropout, rng)
+    for idx, mask in zip(order, dropout_masks(len(order), 6 * model.d, hp.dropout, rng)):
         try:
             total += train_step(model, train.instances[idx], gold[idx],
                                 weights[idx], opt_net, opt_emb, mask)

@@ -18,7 +18,7 @@ from nnma.rng import Rng
 from nnma.tensor import Tensor, grad_check, no_grad, spans, topo_order
 from nnma.trainer import Hyperparams, MomentumSgd, train_step
 from per_op import add, hadamard, sum_all
-from table_params import drawn
+from table_params import laid_out
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 WORDS = [f"w{i}" for i in range(12)]
@@ -145,7 +145,7 @@ def test_batch_gradient_is_the_sum_of_instance_gradients():
 
 def test_batched_encoder_gradient_check():
     rng = Rng(5)
-    p1, p2 = drawn("enc1", rng, d_e=3, d=2), drawn("enc1", rng, d_e=3, d=2)
+    p1, p2 = laid_out(["enc1", "enc2"], rng, d_e=3, d=2)
     lengths1, lengths2 = [2, 1, 3], [1, 3, 2]
     x1 = Tensor(rng.uniform_matrix(3, sum(lengths1), -1.0, 1.0), requires_grad=True)
     x2 = Tensor(rng.uniform_matrix(3, sum(lengths2), -1.0, 1.0), requires_grad=True)
@@ -161,7 +161,7 @@ def test_batched_encoder_gradient_check():
 
 def test_batched_encoder_reads_each_instance_alone():
     rng = Rng(6)
-    p1, p2 = drawn("enc1", rng, d_e=3, d=2), drawn("enc1", rng, d_e=3, d=2)
+    p1, p2 = laid_out(["enc1", "enc2"], rng, d_e=3, d=2)
     lengths1, lengths2 = [2, 5, 1], [4, 1, 3]
     x1 = Tensor(rng.uniform_matrix(3, sum(lengths1), -1.0, 1.0))
     x2 = Tensor(rng.uniform_matrix(3, sum(lengths2), -1.0, 1.0))

@@ -12,7 +12,8 @@ from nnma.corpus import Instance
 from nnma.embeddings import Vocabulary
 from nnma.model import CHUNK, NnmaModel, classify
 from nnma.rng import Rng
-from nnma.tensor import ShapeError, Tensor, grad_check, nll_from_logits, no_grad, scale
+from nnma.tensor import (FlatParams, ShapeError, Tensor, grad_check, nll_from_logits, no_grad,
+                         scale)
 from nnma.trainer import dropout_mask
 from table_params import drawn
 
@@ -31,8 +32,12 @@ def setup(K, lengths1, lengths2, seed, zero_scores=False, masked=True):
     batch = len(lengths1)
     h1 = Tensor(rng.uniform_matrix(2 * D, sum(lengths1), -1.0, 1.0), requires_grad=True)
     h2 = Tensor(rng.uniform_matrix(2 * D, sum(lengths2), -1.0, 1.0), requires_grad=True)
-    w_p = Tensor(rng.uniform_matrix(len(LABELS), 6 * D, -1.0, 1.0), requires_grad=True)
-    b_p = Tensor(rng.uniform_matrix(len(LABELS), 1, -1.0, 1.0), requires_grad=True)
+    # W_p and b_p laid out in one buffer, as a model's are, so classify
+    # writes their gradients into it.
+    head = [rng.uniform_matrix(len(LABELS), 6 * D, -1.0, 1.0),
+            rng.uniform_matrix(len(LABELS), 1, -1.0, 1.0)]
+    w_p, b_p = FlatParams(np.concatenate([a.ravel() for a in head]),
+                          [a.shape for a in head]).leaves
     mask = None
     if masked:
         mask = Tensor(np.hstack([dropout_mask(6 * D, 0.3, rng).data for _ in range(batch)]))
@@ -52,7 +57,7 @@ def run(stack, head, case, lengths1, lengths2):
     values = [trace.general.R0_1, trace.general.R0_2, trace.final, logits]
     for lv in trace.levels:
         values += [lv.M, lv.a1, lv.a2, lv.R1, lv.R2]
-    return [t.data for t in values], [t.grad for t in leaves]
+    return [t.data for t in values], [t.grad.copy() for t in leaves]
 
 
 def fused_head(trace, w_p, b_p, mask):
@@ -106,7 +111,7 @@ def test_training_step_gradients_are_the_per_op_graph_bytewise(K, n1, n2):
         model.zero_grad()
         logits = forward([inst], mask).logits
         scale(nll_from_logits(logits, 2), 0.75).backward()
-        return logits.data, [p.grad for p in model.parameters()]
+        return logits.data, [p.grad.copy() for p in model.parameters()]
 
     got = grads(model.forward_batch)
     want = grads(lambda instances, m: per_op.forward_batch(model, instances, m))
@@ -158,6 +163,18 @@ def test_trace_values_are_plain_and_share_no_memory():
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_a_level_given_twice_gets_both_its_gradients():
+    # Levels 2 and 3 have the same shapes, so one group can be both. Its
+    # gradient runs then take two products, which must be added, not
+    # each written over the other.
+    params, *rest = setup(3, [3, 1], [2, 2], seed=12)
+    case = ([params[0], params[1], params[1]], *rest)
+    got = run(run_stack, fused_head, case, [3, 1], [2, 2])
+    want = run(per_op.run_stack, per_op.classify, case, [3, 1], [2, 2])
+    assert_same_bytes(got[0], want[0])
+    assert_same_bytes(got[1], want[1])
 
 
 def test_shape_mismatches_rejected():

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nnma.model import parameter_table
 from nnma.recurrent import encode_pair
 from nnma.rng import Rng
-from nnma.tensor import (ParamGroup, ShapeError, Tensor, _make, grad_check, select_columns,
-                         topo_order)
+from nnma.tensor import ShapeError, Tensor, _make, grad_check, select_columns, topo_order
 from per_op import add, concat, hadamard, hstack, matmul, sigmoid, sum_all, tanh
-from table_params import drawn
+from table_params import drawn, laid_out
 
 
 def lstm_step(x, h_prev, c_prev, p):
@@ -130,9 +128,7 @@ def bi_encode(seq, p):
 def zero_params(input_dim, hidden_dim, prefix="enc1.forward"):
     """The table rows under ``prefix`` (one direction, or ``enc1`` for
     both), all zero."""
-    rows = parameter_table(input_dim, hidden_dim, d_m=1, k=1, n=2, v=1)
-    return ParamGroup(prefix, {spec.name: Tensor.zeros(*spec.shape, requires_grad=True)
-                               for spec in rows})
+    return laid_out([prefix], None, d_e=input_dim, d=hidden_dim)[0]
 
 
 def random_params(input_dim, hidden_dim, seed):
@@ -395,8 +391,7 @@ class TestEncodePair:
     @staticmethod
     def setup_case(lengths, seed, input_dim=5, hidden_dim=3):
         rng = Rng(seed)
-        p1 = drawn("enc1", rng, d_e=input_dim, d=hidden_dim)
-        p2 = drawn("enc1", rng, d_e=input_dim, d=hidden_dim)
+        p1, p2 = laid_out(["enc1", "enc2"], rng, d_e=input_dim, d=hidden_dim)
         for t in p1.tensors() + p2.tensors():
             if t.cols == 1:
                 t.data[:] = rng.uniform_matrix(hidden_dim, 1, -0.5, 0.5)
@@ -423,7 +418,7 @@ class TestEncodePair:
                 t.zero_grad()
             h1, h2 = encode()
             loss(h1, h2).backward()
-            results.append(([h1.data, h2.data], [t.grad for t in inputs]))
+            results.append(([h1.data, h2.data], [t.grad.copy() for t in inputs]))
         (fused, fused_grads), (ref, ref_grads) = results
         assert fused[0].shape == (6, lengths[0]) and fused[1].shape == (6, lengths[1])
         for got, want in zip(fused + fused_grads, ref + ref_grads):
@@ -448,7 +443,7 @@ class TestEncodePair:
                 t.zero_grad()
             h1, h2 = encode()
             loss(h1, h2).backward()
-            results.append([h1.data, h2.data] + [t.grad for t in inputs])
+            results.append([h1.data, h2.data] + [t.grad.copy() for t in inputs])
         fused, ref = results
         assert all(np.isfinite(a).all() for a in ref)
         for got, want in zip(fused, ref):
@@ -483,6 +478,19 @@ class TestEncodePair:
         x = Tensor.zeros(5, 4)
         with pytest.raises(ShapeError):
             encode_pair(x, x, p, p)
+
+    def test_parameters_outside_one_layout_rejected(self):
+        # The stacked weights are views of one layout: the second
+        # encoder's rows right after the first's, in table order.
+        rng = Rng(93)
+        p1, p2 = laid_out(["enc1", "enc2"], rng, d_e=2, d=3)
+        apart = drawn("enc1", rng, d_e=2, d=3), drawn("enc1", rng, d_e=2, d=3)
+        x = Tensor.zeros(2, 4)
+        for pair in ((p2, p1), (p1, p1), apart, (zero_params(2, 3, "enc1"), p2)):
+            with pytest.raises(ShapeError, match="one FlatParams layout"):
+                encode_pair(x, x, *pair)
+        h1, _ = encode_pair(x, x, p1, p2)
+        assert h1.shape == (6, 4)
 
     def test_hidden_size_mismatch_rejected(self):
         p1 = zero_params(2, 3, "enc1")

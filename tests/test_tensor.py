@@ -556,6 +556,69 @@ def test_flat_leaves_keep_a_plain_leafs_gradient_bits():
             assert np.signbit(flat.leaves[0].grad[0]).all()  # the -0.0 entries kept
 
 
+def weigh(leaves, weights, factor):
+    """factor * sum_i sum(leaves[i] * weights[i]) as one operation whose
+    backward pass computes each leaf's product straight into its run
+    when ``T.claim_runs`` allows, and returns the products otherwise."""
+    total = sum(float(np.sum(t.data * w)) for t, w in zip(leaves, weights))
+
+    def vjp(g):
+        scale = g[0, 0] * factor
+        if T.claim_runs(leaves):
+            for t, w in zip(leaves, weights):
+                np.multiply(w, scale, out=t._grad_view)
+            return (None,) * len(leaves)
+        return tuple(w * scale for w in weights)
+
+    return T._make(np.array([[factor * total]]), tuple(leaves), vjp)
+
+
+def test_group_span_is_its_run_of_the_layout():
+    shapes = [(2, 3), (3, 1), (1, 4), (2, 2)]
+    flat = T.FlatParams(np.zeros(sum(r * c for r, c in shapes)), shapes)
+    a, b, c, d = flat.leaves
+    assert flat.starts == [0, 6, 9, 13, 17]
+    assert T.FlatParams.span([b, c]) == (flat, 6, 13)
+    assert T.FlatParams.span([c, b]) is None and T.FlatParams.span([a, c]) is None
+    assert T.FlatParams.span([d, a]) is None and T.FlatParams.span([Tensor.zeros(1, 1)]) is None
+    assert T.FlatParams.of([a, b, c, d]) is flat and T.FlatParams.of([a, b, c]) is None
+    group = T.ParamGroup("g", {"g.x.u": b, "g.x.v": c, "g.y": d, "h": a})
+    assert group.span == (flat, 6, 17) and group.x.span == (flat, 6, 13)
+    assert T.ParamGroup("g", {"g.y": d, "g.u": b}).span is None
+
+
+def test_claimed_runs_keep_the_copy_paths_bits():
+    # The same operation on the leaves of one layout, whose runs it claims
+    # while no leaf has a gradient, and on plain leaves, whose products
+    # backward copies or adds in. The weights hold -0.0 and a zero factor
+    # makes every product a signed zero, so a claimed run that added
+    # into zeros instead of taking the product would lose signs.
+    rng = np.random.default_rng(16)
+    shapes = [(2, 3), (3, 1), (1, 4)]
+    weights = [rng.uniform(-1, 1, shape) for shape in shapes]
+    weights[0][1] = -0.0
+    values = [rng.uniform(-1, 1, shape) for shape in shapes]
+    flat = T.FlatParams(np.concatenate([v.ravel() for v in values]), shapes)
+    plain = [Tensor(v, requires_grad=True) for v in values]
+    hand = rng.uniform(-1, 1, shapes[1])
+    plan = [("fresh", 1.0), ("again", 0.5), ("fresh", 0.0), ("again", 0.0),
+            ("one set by hand", 2.0), ("one set by hand", 0.0), ("fresh", -0.0)]
+    for before, factor in plan:
+        for leaves in (flat.leaves, plain):
+            if before != "again":
+                for t in leaves:
+                    t.zero_grad()
+            if before == "one set by hand":
+                leaves[1].grad = hand
+            weigh(leaves, weights, factor).backward()
+        for t, ref in zip(flat.leaves, plain):
+            assert t.grad.tobytes() == ref.grad.tobytes(), (before, factor)
+            assert t.grad.base is flat.grads
+        if before == "fresh" and factor == 0.0:
+            signs = np.signbit(flat.leaves[0].grad)
+            assert signs.any() and np.array_equal(signs, np.signbit(weights[0] * factor))
+
+
 def test_owning_wraps_without_a_copy():
     data = np.zeros((2, 3))
     t = Tensor.owning(data, requires_grad=True)

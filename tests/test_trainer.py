@@ -14,12 +14,15 @@ from nnma.metrics import evaluate
 from nnma.model import NnmaModel
 from nnma.rng import Rng
 from nnma.tensor import FlatParams, Tensor, select_columns, topo_order
+from nnma import attention, model as model_module, recurrent, trainer as trainer_module
 from nnma.trainer import (
+    MASK_CHUNK_WORDS,
     SWEEP_WORDS,
     Hyperparams,
     MomentumSgd,
     TrainingDiverged,
     dropout_mask,
+    dropout_masks,
     fit,
     reweight,
     train_step,
@@ -303,6 +306,76 @@ class TestFlatGroup:
         assert peak < 8 * n
 
 
+class TestInPlaceGradients:
+    """The fused operations compute their parameter gradients straight
+    into the flat gradient buffer while none of their parameters has a
+    gradient yet. Every case must give the bits of a twin model whose
+    operations return their products to ``Tensor.backward`` instead
+    (``claim_runs`` patched to refuse), the copy-or-add path."""
+
+    HAND_SET = ("enc2.backward.W_o", "level1.arg1.w_s", "classifier.b_p")
+
+    def gradients(self, case, by_hand):
+        model, ds = tiny_setup(seed=6, k=2)
+        names = [spec.name for spec in model.table]
+        params = model.parameters()
+        first = model.loss(model.forward(ds.instances[0]), 1, weight=1.5)
+        if case == "hand-set":
+            # One parameter of each operation already has a gradient.
+            for name in self.HAND_SET:
+                params[names.index(name)].grad = by_hand[name]
+            first.backward()
+        elif case == "twice":
+            first.backward()
+            first.backward()
+            model.loss(model.forward(ds.instances[1]), 2).backward()
+        elif case == "negative zero":
+            model.loss(model.forward(ds.instances[0]), 1, weight=-0.0).backward()
+        return {name: p.grad.copy() for name, p in zip(names, params)}
+
+    @pytest.mark.parametrize("case", ["hand-set", "twice", "negative zero"])
+    def test_same_bits_as_returned_products(self, case, monkeypatch):
+        rng = np.random.default_rng(12)
+        model, _ = tiny_setup(seed=6, k=2)
+        shapes = {spec.name: spec.shape for spec in model.table}
+        by_hand = {name: rng.uniform(-1, 1, shapes[name]) for name in self.HAND_SET}
+        written = self.gradients(case, by_hand)
+        for module in (recurrent, attention, model_module):
+            monkeypatch.setattr(module, "claim_runs", lambda leaves: False)
+        returned = self.gradients(case, by_hand)
+        assert written.keys() == returned.keys()
+        for name in written:
+            assert same_bits(written[name], returned[name]), name
+        if case == "negative zero":
+            # An all-zero adjoint. Its products are sums that start from
+            # +0.0, so the signs come out the same on both paths; the
+            # signs of elementwise products are checked in
+            # test_tensor.py::test_claimed_runs_keep_the_copy_paths_bits.
+            assert not any(g.any() for g in written.values())
+
+    def test_a_backward_pass_makes_no_per_parameter_gradient_arrays(self):
+        # At the paper shape (d 50, d_m 200) and 30-word arguments the
+        # network's gradients are 2.9 MB. When each parameter got a fresh
+        # array for backward to copy in, a backward pass peaked at 4.02 MB
+        # of new memory; written into the buffer it peaks at 1.15 MB.
+        rng = Rng(9)
+        vocab = Vocabulary([f"w{i}" for i in range(200)])
+        model = NnmaModel.create(vocab, ["A", "B", "C", "D"], d_e=50, d=50, d_m=200, k=2,
+                                 rng=rng)
+        inst = Instance("B", [f"w{rng.below(200)}" for _ in range(30)],
+                        [f"w{rng.below(200)}" for _ in range(28)])
+        loss = model.loss(model.forward(inst), 1)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        net = model.network_parameters()
+        assert all(p._grad is p._grad_view for p in net)
+
+
 class TestCompactMomentum:
     """Lookups with a compact gradient and the step that reads it (the
     used columns from their old values, one sweep over the matrix in
@@ -548,6 +621,23 @@ class TestDropoutMask:
         assert mask.shape == (300, 1)
         assert np.array_equal(mask, np.array(want))
         assert fast.next_u64() == slow.next_u64()
+
+    @pytest.mark.parametrize("chunk_words", [MASK_CHUNK_WORDS, 9000, 256])
+    @pytest.mark.parametrize("count", [1, 70])
+    def test_epoch_masks_are_the_per_step_masks(self, chunk_words, count, monkeypatch):
+        # 70 masks of 300 entries: one lane draw, two lane draws and a
+        # scalar one, or 85 scalar draws of 256 words or less.
+        monkeypatch.setattr(trainer_module, "MASK_CHUNK_WORDS", chunk_words)
+        chunked, single = Rng(41), Rng(41)
+        masks = list(dropout_masks(count, 300, 0.1, chunked))
+        assert len(masks) == count
+        for mask in masks:
+            assert same_bits(mask.data, dropout_mask(300, 0.1, single).data)
+        assert chunked._s == single._s
+
+    def test_epoch_masks_reject_an_invalid_rate(self):
+        with pytest.raises(ValueError):
+            next(dropout_masks(3, 4, 1.0, Rng(1)))
 
 
 def binary_dataset(pos, neg):
