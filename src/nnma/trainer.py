@@ -165,10 +165,7 @@ def sweep(v: np.ndarray, theta: np.ndarray, momentum: float, rate: float,
 def dropout_mask(dim: int, q: float, rng: Rng) -> Tensor:
     """Inverted-dropout mask: each entry is 0 with probability q and
     1/(1-q) otherwise, so no rescaling is needed at evaluation time."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {q}")
-    u = rng.uniform_matrix(dim, 1, 0.0, 1.0)
-    return Tensor(np.where(u < q, 0.0, 1.0 / (1.0 - q)))
+    return next(dropout_masks(1, dim, q, rng))
 
 
 # Most generator words drawn at once for an epoch's dropout masks: large
@@ -178,12 +175,12 @@ MASK_CHUNK_WORDS = 1 << 18
 
 
 def dropout_masks(count: int, dim: int, q: float, rng: Rng) -> Iterator[Tensor]:
-    """``count`` masks of ``dropout_mask(dim, q, rng)``, the same bits in
-    the same order, drawn a chunk of about ``MASK_CHUNK_WORDS`` words at
-    a time: one ``uniform_matrix`` call per chunk, whose rows are the
-    per-mask draws in turn. Once every mask is taken the generator is
-    where ``count`` single draws leave it; while some are left it may be
-    up to a chunk ahead."""
+    """``count`` dim x 1 inverted-dropout masks (``dropout_mask``), drawn
+    a chunk of about ``MASK_CHUNK_WORDS`` words at a time: one
+    ``uniform_matrix`` call per chunk, whose rows are the masks' draws in
+    turn. The masks are the bits of ``count`` draws of one mask each, and
+    once every mask is taken the generator is where those draws leave
+    it; while some are left it may be up to a chunk ahead."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {q}")
     rows = max(1, MASK_CHUNK_WORDS // dim)
