@@ -47,7 +47,6 @@ from .corpus import (
 )
 from .embeddings import Vocabulary, load_pretrained
 from .metrics import (
-    attention_traces,
     evaluate,
     heatmap_csv,
     heatmap_ppm,
@@ -311,12 +310,26 @@ def cmd_analyze(args) -> int:
             raise ConfigError(f"instance id {idx} out of range "
                               f"(dataset has {len(ds)} instances)")
 
-    # One batched pass serves the KL report and the heatmaps.
+    # One batched pass serves the KL report and the heatmaps: the report
+    # reads every chunk whole, and only chunks holding a requested id are
+    # split into per-instance traces.
     needed = range(len(ds)) if model.k >= 2 else ids
-    traces = dict(zip(needed, attention_traces(model, [ds.instances[i] for i in needed])))
+    wanted = set(ids)
+    traces = {}
+
+    def chunks():
+        for positions, prediction in model.forward_chunks([ds.instances[i] for i in needed]):
+            if wanted.intersection(needed[j] for j in positions):
+                for j, trace in zip(positions, prediction.trace.split()):
+                    if needed[j] in wanted:
+                        traces[needed[j]] = trace
+            yield positions, prediction.trace
+
     if model.k >= 2:
-        text = render_kl_report(kl_report(list(traces.values()), flipped=args.flip_kl))
+        text = render_kl_report(kl_report(chunks(), flipped=args.flip_kl))
     else:
+        for _ in chunks():  # the heatmaps still need the pass
+            pass
         text = ("# KL report unavailable: it compares attention levels and "
                 "this model has a single level\n")
     sys.stdout.write(text)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .attention import AttentionTrace
 from .corpus import Dataset
+from .tensor import segments
 
 
 @dataclass
@@ -146,72 +147,124 @@ class KlReport:
         return "KL(a_i || a_j) for i < j; KL(uniform || a_i)"
 
 
-def attention_traces(model, instances: Sequence) -> list[AttentionTrace]:
-    """Each instance's attention trace, in the order given, cut from the
-    segments of forward-only batches (``NnmaModel.forward_chunks``)."""
-    traces: list[AttentionTrace] = [None] * len(instances)  # type: ignore[list-item]
-    for positions, prediction in model.forward_chunks(instances):
-        for i, trace in zip(positions, prediction.trace.split()):
-            traces[i] = trace
-    return traces
-
-
 def attention_kl_report(model, ds: Dataset, flipped: bool = False) -> KlReport:
     """Mean KL divergences between attention levels over a dataset.
 
     The distributions come from batched forward-only passes
-    (``attention_traces``): each instance's rows of a chunk's attention
-    columns. Aggregation is per instance then averaged in dataset
-    order, separately per argument side. Requires at least two
-    attention levels.
+    (``NnmaModel.forward_chunks``), and ``kl_report`` reads each chunk's
+    attention columns whole, as the chunks come. Each instance's values
+    are summed in dataset order and averaged, separately per argument
+    side. Requires at least two attention levels.
     """
     if model.k < 2:
         raise ValueError("KL report needs a model with at least 2 attention levels")
     if len(ds) == 0:
         raise ValueError("KL report over an empty dataset")
-    return kl_report(attention_traces(model, ds.instances), flipped)
+    return kl_report(((positions, prediction.trace)
+                      for positions, prediction in model.forward_chunks(ds.instances)),
+                     flipped)
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _kl_segments(p: np.ndarray, q: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``kl_divergence`` of each row of ``p`` against the same row of
-    ``q``, for rows already checked to be distributions."""
-    support = p > 0.0
-    if np.any(support & (q <= 0.0)):
-        raise ValueError("q has a zero entry where p does not")
+    ``q`` within each segment (the columns from one of ``starts`` to the
+    next): a (rows, segments) array, for rows already checked to be
+    distributions with q positive wherever p is."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(support, p * np.log(p / q), 0.0).sum(axis=1)
+        terms = np.where(p > 0.0, p * np.log(p / q), 0.0)
+    return np.add.reduceat(terms, starts, axis=1)
 
 
-def kl_report(traces: Sequence[AttentionTrace], flipped: bool = False) -> KlReport:
-    """``attention_kl_report`` over one trace per instance. Each
-    instance's values come from its levels' distributions as the rows of
-    one array, checked once, so they agree with ``kl_divergence`` per
-    pair up to the order of summation."""
-    k = len(traces[0].levels)
-    pair_keys = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    first = [i - 1 for i, _ in pair_keys]
-    second = [j - 1 for _, j in pair_keys]
-    sums = {side: [np.zeros(len(pair_keys)), np.zeros(k)] for side in (1, 2)}
+def _first(bad: np.ndarray, positions: Sequence[int]) -> tuple[int, int]:
+    """Row and segment of a true entry of a (rows, segments) mask: the
+    segment whose dataset position comes first, then the first row."""
+    rows, cols = np.nonzero(bad)
+    at = np.lexsort((rows, np.asarray(positions)[cols]))[0]
+    return int(rows[at]), int(cols[at])
 
-    for trace in traces:
-        for side in (1, 2):
-            P = np.stack([(lv.a1 if side == 1 else lv.a2).data.reshape(-1)
+
+def _side_kl(P: np.ndarray, lengths: Sequence[int], positions: Sequence[int], side: str,
+             pairs: tuple[list[int], list[int]], flipped: bool) -> list[np.ndarray]:
+    """One argument side of one chunk. ``P`` holds the K levels'
+    attention columns as rows, instance b owning the b-th segment of
+    ``lengths``. Checks every instance's distributions, then returns its
+    pair values (pairs, B) and uniform values (K, B)."""
+    lengths = segments(P.shape[1], lengths)
+    starts = np.cumsum([0, *lengths[:-1]])
+
+    def where(row: int, b: int) -> str:
+        return f"{side} level {row + 1} attention of instance {positions[b]}"
+
+    totals = np.add.reduceat(P, starts, axis=1)
+    bad = np.abs(totals - 1.0) > 1e-6
+    if bad.any():
+        row, b = _first(bad, positions)
+        raise ValueError(f"{where(row, b)} sums to {float(totals[row, b])!r}, "
+                         f"not a distribution")
+    negative = P < 0.0
+    if negative.any():
+        row, b = _first(np.logical_or.reduceat(negative, starts, axis=1), positions)
+        raise ValueError(f"{where(row, b)} has negative entries")
+
+    first, second = pairs
+    uniform = np.repeat(1.0 / np.asarray(lengths, dtype=np.float64), lengths)
+    levels = range(len(P))
+    families = [(P[second], P[first], first) if flipped else (P[first], P[second], second),
+                (P, uniform, levels) if flipped else (uniform, P, levels)]
+    values = []
+    for p, q, q_levels in families:
+        unsupported = (p > 0.0) & (q <= 0.0)
+        if unsupported.any():
+            row, b = _first(np.logical_or.reduceat(unsupported, starts, axis=1), positions)
+            raise ValueError(f"{where(q_levels[row], b)}: q has a zero entry where p does not")
+        values.append(_kl_segments(p, q, starts))
+    return values
+
+
+def kl_report(chunks: Iterable[tuple[Sequence[int], AttentionTrace]],
+              flipped: bool = False) -> KlReport:
+    """``attention_kl_report`` over attention traces in the segment
+    layout of ``tensor.segments``, each with its instances' dataset
+    positions (0 to n - 1, each once over all chunks); one instance is
+    a trace with B = 1.
+
+    Each side of a chunk is read whole, as one (K, N) array of its
+    levels' attention columns. Every instance's distributions are
+    checked there (sum to 1 within 1e-6, no negative entry, q positive
+    wherever p is); a refusal names the instance's position, the side
+    and the level. The pair and uniform terms are computed over the
+    whole array and summed per instance by ``np.add.reduceat`` at the
+    segment starts, so an instance's values can differ from
+    ``kl_divergence`` in their last bits (within 1e-12 relative). The
+    values are then put in dataset order and summed in that order.
+    """
+    parts: list[tuple[Sequence[int], list[np.ndarray]]] = []
+    for positions, trace in chunks:
+        k = len(trace.levels)
+        pair_keys = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        pairs = ([i - 1 for i, _ in pair_keys], [j - 1 for _, j in pair_keys])
+        values = []
+        for side, lengths in (("arg1", trace.lengths1), ("arg2", trace.lengths2)):
+            P = np.stack([(lv.a1 if side == "arg1" else lv.a2).data.reshape(-1)
                           for lv in trace.levels])
-            totals = P.sum(axis=1)
-            if np.any(np.abs(totals - 1.0) > 1e-6):
-                raise ValueError(f"arg{side} attention sums to {totals.tolist()}, "
-                                 f"not a distribution")
-            if np.any(P < 0.0):
-                raise ValueError(f"arg{side} attention has negative entries")
-            uni = np.full(P.shape, 1.0 / P.shape[1])
-            a, b = P[first], P[second]
-            sums[side][0] += _kl_rows(b, a) if flipped else _kl_rows(a, b)
-            sums[side][1] += _kl_rows(P, uni) if flipped else _kl_rows(uni, P)
+            values += _side_kl(P, lengths, positions, side, pairs, flipped)
+        parts.append((positions, values))
+    if not parts:
+        raise ValueError("KL report over no instances")
 
-    count = len(traces)
-    sides = [SideKl({key: float(total / count) for key, total in zip(pair_keys, pairs)},
-                    {i: float(total / count) for i, total in enumerate(uniform, start=1)})
-             for pairs, uniform in (sums[1], sums[2])]
+    order = np.concatenate([np.asarray(positions, dtype=np.intp) for positions, _ in parts])
+    count = order.size
+    chunk_index = np.argsort(order)  # each dataset position's place in chunk order
+    if not np.array_equal(order[chunk_index], np.arange(count)):
+        raise ValueError(f"chunk positions do not number {count} instances 0 to {count - 1}")
+    means = []
+    for family in range(4):
+        in_order = np.concatenate([values[family] for _, values in parts], axis=1)[:, chunk_index]
+        # cumsum adds one instance at a time, in dataset order.
+        means.append(np.cumsum(in_order, axis=1)[:, -1] / count)
+    sides = [SideKl({key: float(v) for key, v in zip(pair_keys, pair_means)},
+                    {i: float(v) for i, v in enumerate(uniform_means, start=1)})
+             for pair_means, uniform_means in (means[:2], means[2:])]
     return KlReport(sides[0], sides[1], k, count, flipped)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nnma import metrics as metrics_module
 from nnma import model as model_module
 from nnma.cli import main
 from nnma.corpus import Dataset, Instance, write_tsv
@@ -219,6 +220,25 @@ def test_evaluate_records_one_stack_op_per_chunk(stack_ops):
 def test_kl_report_records_one_encoder_op_per_chunk(encoder_ops):
     attention_kl_report(make_model(2, seed=9), large_dataset())
     assert len(encoder_ops) == math.ceil(N / CHUNK)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK, N])
+def test_kl_report_reduces_each_chunk_whole(monkeypatch, n):
+    # Two sides, each with a pair family and a uniform family: four
+    # reductions per chunk, however many instances the chunk holds.
+    calls = []
+    real = metrics_module._kl_segments
+
+    def counting(p, q, starts):
+        calls.append(len(starts))
+        return real(p, q, starts)
+
+    monkeypatch.setattr(metrics_module, "_kl_segments", counting)
+    ds = Dataset(large_dataset().instances[:n], "test")
+    attention_kl_report(make_model(3, seed=9), ds)
+    chunks = math.ceil(n / CHUNK)
+    assert len(calls) == 2 * 2 * chunks
+    assert sum(calls) == 2 * 2 * n
 
 
 def test_analyze_records_one_encoder_op_per_chunk(encoder_ops, tmp_path):

@@ -40,11 +40,14 @@ def test_overfit_run_is_correct(trace):
         assert metrics["attention.stack_ms"]["value"] > 0
         assert metrics["trainer.train_step_ms"]["value"] > 0
     else:
-        assert metrics["train_rate"]["value"] > 0
+        for rate in ("train_rate", "eval_rate", "analyze_rate"):
+            assert metrics[rate]["value"] > 0
 
 
 def test_paper_run_is_correct():
-    assert bench("paper", 0)["train_rate"]["value"] > 0
+    metrics = bench("paper", 0)
+    for rate in ("train_rate", "eval_rate", "analyze_rate"):
+        assert metrics[rate]["value"] > 0
 
 
 def test_inference_run_is_correct():

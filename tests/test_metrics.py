@@ -10,7 +10,6 @@ from nnma.metrics import (
     ConfusionCounts,
     KlReport,
     attention_kl_report,
-    attention_traces,
     evaluate,
     heat_color,
     heatmap_csv,
@@ -22,7 +21,7 @@ from nnma.metrics import (
 )
 from nnma.model import NnmaModel
 from nnma.rng import Rng
-from nnma.tensor import no_grad
+from nnma.tensor import no_grad, spans
 from nnma.trainer import MomentumSgd, train_step
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
@@ -31,6 +30,48 @@ LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 def tiny_model(seed=1, k=2):
     vocab = Vocabulary([f"t{i}" for i in range(6)])
     return NnmaModel.create(vocab, LABELS, d_e=2, d=2, d_m=3, k=k, rng=Rng(seed))
+
+
+def chunk_traces(model, instances):
+    """The forward-only chunks of ``instances`` as ``kl_report`` reads
+    them: each chunk's dataset positions and its segment-layout trace."""
+    return [(positions, prediction.trace)
+            for positions, prediction in model.forward_chunks(instances)]
+
+
+def oracle_report(chunks, k, flipped):
+    """Per side, each pair's and level's ``kl_divergence`` summed over
+    the chunks' instances in dataset order, then averaged."""
+    lone = {}
+    for positions, trace in chunks:
+        lone.update(zip(positions, trace.split()))
+    sides = []
+    for side_name in ("a1", "a2"):
+        pairs = {(i, j): 0.0 for i in range(1, k + 1) for j in range(i + 1, k + 1)}
+        uniform = {i: 0.0 for i in range(1, k + 1)}
+        for position in range(len(lone)):
+            dists = [getattr(lv, side_name).data.reshape(-1) for lv in lone[position].levels]
+            uni = np.full(dists[0].size, 1.0 / dists[0].size)
+            for i, j in pairs:
+                a, b = dists[i - 1], dists[j - 1]
+                pairs[(i, j)] += kl_divergence(b, a) if flipped else kl_divergence(a, b)
+            for i in uniform:
+                a = dists[i - 1]
+                uniform[i] += kl_divergence(a, uni) if flipped else kl_divergence(uni, a)
+        sides.append(({key: total / len(lone) for key, total in pairs.items()},
+                      {i: total / len(lone) for i, total in uniform.items()}))
+    return sides
+
+
+def assert_matches_oracle(report, chunks, k, flipped):
+    for side, (pairs, uniform) in zip((report.arg1, report.arg2),
+                                      oracle_report(chunks, k, flipped)):
+        assert sorted(side.pairs) == sorted(pairs)
+        assert sorted(side.uniform) == sorted(uniform)
+        for key, expected in pairs.items():
+            assert side.pairs[key] == pytest.approx(expected, rel=1e-12, abs=0)
+        for i, expected in uniform.items():
+            assert side.uniform[i] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def tiny_dataset():
@@ -214,7 +255,7 @@ class TestAttentionKlReport:
 
     @pytest.mark.parametrize("k, flipped", [(2, False), (2, True), (3, False), (3, True)])
     def test_matches_per_pair_kl_divergence(self, k, flipped):
-        # The report's per-instance arrays against the scalar oracle, pair
+        # The report's per-segment sums against the scalar oracle, pair
         # by pair, summed per instance in dataset order as before.
         model = tiny_model(seed=10 + k, k=k)
         rng = np.random.default_rng(k)
@@ -222,24 +263,8 @@ class TestAttentionKlReport:
         lengths = [(1, 40), (40, 1), (1, 1)] + [tuple(rng.integers(1, 30, 2)) for _ in range(20)]
         instances = [Instance(LABELS[0], list(rng.choice(words, n1)), list(rng.choice(words, n2)))
                      for n1, n2 in lengths]
-        traces = attention_traces(model, instances)
-        report = kl_report(traces, flipped)
-        for side_name, side in (("a1", report.arg1), ("a2", report.arg2)):
-            pairs = {key: 0.0 for key in side.pairs}
-            uniform = {i: 0.0 for i in side.uniform}
-            for trace in traces:
-                dists = [getattr(lv, side_name).data.reshape(-1) for lv in trace.levels]
-                uni = np.full(dists[0].size, 1.0 / dists[0].size)
-                for i, j in pairs:
-                    a, b = dists[i - 1], dists[j - 1]
-                    pairs[(i, j)] += kl_divergence(b, a) if flipped else kl_divergence(a, b)
-                for i in uniform:
-                    a = dists[i - 1]
-                    uniform[i] += kl_divergence(a, uni) if flipped else kl_divergence(uni, a)
-            for key, total in pairs.items():
-                assert side.pairs[key] == pytest.approx(total / len(traces), rel=1e-12, abs=0)
-            for i, total in uniform.items():
-                assert side.uniform[i] == pytest.approx(total / len(traces), rel=1e-12, abs=0)
+        chunks = chunk_traces(model, instances)
+        assert_matches_oracle(kl_report(chunks, flipped), chunks, k, flipped)
 
     @pytest.mark.parametrize("column, match", [
         ([0.5, 0.5, 0.5, 0.5], "not a distribution"),
@@ -247,10 +272,14 @@ class TestAttentionKlReport:
         ([0.0, 0.5, 0.25, 0.25], "zero entry"),
     ])
     def test_each_distribution_is_checked(self, column, match):
-        traces = attention_traces(tiny_model(seed=12), tiny_dataset().instances)
-        traces[1].levels[1].a2.data[:, 0] = column  # the second level, 4 words
+        chunks = chunk_traces(tiny_model(seed=12), tiny_dataset().instances)
+        (positions, trace), = chunks
+        b = positions.index(1)  # the second instance, 4 words in arg2
+        s, t = spans(trace.lengths2)[b]
+        trace.levels[1].a2.data[s:t, 0] = column
         with pytest.raises(ValueError, match=match):
-            kl_report(traces)
+            kl_report(chunks)
+
 
     def test_flip_reverses_direction(self):
         model = tiny_model(seed=6, k=2)
@@ -274,6 +303,78 @@ class TestAttentionKlReport:
         assert report.direction in text
         assert "arg1 kl_12" in text
         assert "arg2 kl_u2" in text
+
+
+class TestChunkedKlReport:
+    """``kl_report`` reads whole chunks: one chunk of many instances,
+    several chunks, or one chunk per instance give the oracle's values."""
+
+    LENGTHS = [1, 7, 8, 9, 17, 40]  # both sides of numpy's 8-wide pairwise unroll
+
+    def instances(self):
+        rng = np.random.default_rng(31)
+        words = [f"t{i}" for i in range(7)]
+        pairs = [(n1, n2) for n1 in self.LENGTHS for n2 in self.LENGTHS]
+        rng.shuffle(pairs)
+        return [Instance(LABELS[0], list(rng.choice(words, n1)), list(rng.choice(words, n2)))
+                for n1, n2 in pairs]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("flipped", [False, True])
+    @pytest.mark.parametrize("chunking", ["one", "several", "lone"])
+    def test_matches_kl_divergence_in_dataset_order(self, k, flipped, chunking):
+        model = tiny_model(seed=40 + k, k=k)
+        instances = self.instances()
+        if chunking == "one":
+            with no_grad():
+                chunks = [(list(range(len(instances))), model.forward_batch(instances).trace)]
+        elif chunking == "several":
+            chunks = chunk_traces(model, instances)
+            assert len(chunks) > 2
+        else:
+            with no_grad():
+                chunks = [([i], model.forward(inst).trace) for i, inst in enumerate(instances)]
+        report = kl_report(chunks, flipped)
+        assert report.instances == len(instances) and report.levels == k
+        assert_matches_oracle(report, chunks, k, flipped)
+
+    def test_report_of_a_dataset_is_its_chunks_report(self):
+        model = tiny_model(seed=44, k=3)
+        instances = self.instances()
+        assert (render_kl_report(attention_kl_report(model, Dataset(instances)))
+                == render_kl_report(kl_report(chunk_traces(model, instances))))
+
+    @pytest.mark.parametrize("level, column, match", [
+        (1, [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], "sums to 3.5, not a distribution"),
+        (2, [-0.25, 0.75, 0.1, 0.1, 0.1, 0.1, 0.1], "has negative entries"),
+        (2, [0.0, 0.5, 0.1, 0.1, 0.1, 0.1, 0.1], "q has a zero entry where p does not"),
+        (1, [0.0, 0.5, 0.1, 0.1, 0.1, 0.1, 0.1], "q has a zero entry where p does not"),
+    ])
+    def test_refusal_names_the_instance_side_and_level(self, level, column, match):
+        # Five instances in one chunk, their positions shuffled; the
+        # third segment, dataset position 3, has 7 words in arg2.
+        model = tiny_model(seed=45, k=2)
+        lengths = [(2, 3), (4, 1), (3, 7), (1, 5), (5, 2)]
+        positions = [4, 0, 3, 1, 2]
+        instances = [Instance(LABELS[0], [f"t{i % 6}" for i in range(n1)],
+                              [f"t{i % 6}" for i in range(n2)]) for n1, n2 in lengths]
+        with no_grad():
+            trace = model.forward_batch(instances).trace
+        s, t = spans(trace.lengths2)[2]
+        trace.levels[level - 1].a2.data[s:t, 0] = column
+        with pytest.raises(ValueError, match=match) as refused:
+            kl_report([(positions, trace)])
+        assert f"arg2 level {level} attention of instance 3" in str(refused.value)
+
+    def test_positions_must_number_the_instances(self):
+        model = tiny_model(seed=46, k=2)
+        with no_grad():
+            trace = model.forward_batch(tiny_dataset().instances).trace
+        for positions in ([0, 1, 1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="positions"):
+                kl_report([(positions, trace)])
+        with pytest.raises(ValueError, match="no instances"):
+            kl_report([])
 
 
 def uniform_trace(model, instance):
