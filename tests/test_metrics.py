@@ -280,7 +280,6 @@ class TestAttentionKlReport:
         with pytest.raises(ValueError, match=match):
             kl_report(chunks)
 
-
     def test_flip_reverses_direction(self):
         model = tiny_model(seed=6, k=2)
         ds = tiny_dataset()
@@ -338,11 +337,17 @@ class TestChunkedKlReport:
         assert report.instances == len(instances) and report.levels == k
         assert_matches_oracle(report, chunks, k, flipped)
 
-    def test_report_of_a_dataset_is_its_chunks_report(self):
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_bits_do_not_depend_on_chunking(self, flipped):
+        # Each instance's values depend only on its own segment, and
+        # they are summed in dataset order: the same attention columns
+        # cut into lone traces and given in reverse give the same bits.
         model = tiny_model(seed=44, k=3)
-        instances = self.instances()
-        assert (render_kl_report(attention_kl_report(model, Dataset(instances)))
-                == render_kl_report(kl_report(chunk_traces(model, instances))))
+        chunks = chunk_traces(model, self.instances())
+        lone = [([i], one) for positions, trace in chunks
+                for i, one in zip(positions, trace.split())]
+        assert (render_kl_report(kl_report(chunks, flipped))
+                == render_kl_report(kl_report(lone[::-1], flipped)))
 
     @pytest.mark.parametrize("level, column, match", [
         (1, [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], "sums to 3.5, not a distribution"),
@@ -365,6 +370,18 @@ class TestChunkedKlReport:
         with pytest.raises(ValueError, match=match) as refused:
             kl_report([(positions, trace)])
         assert f"arg2 level {level} attention of instance 3" in str(refused.value)
+
+    def test_refusal_names_the_first_failing_instance_in_dataset_order(self):
+        # Segments 0 and 2 (positions 2 and 1) both fail at level 2.
+        model = tiny_model(seed=45, k=2)
+        lengths = [(2, 3), (4, 1), (3, 7)]
+        instances = [Instance(LABELS[0], ["t0"] * n1, ["t1"] * n2) for n1, n2 in lengths]
+        with no_grad():
+            trace = model.forward_batch(instances).trace
+        for s, t in (spans(trace.lengths2)[0], spans(trace.lengths2)[2]):
+            trace.levels[1].a2.data[s, 0] += 0.5
+        with pytest.raises(ValueError, match="arg2 level 2 attention of instance 1 sums to"):
+            kl_report([([2, 0, 1], trace)])
 
     def test_positions_must_number_the_instances(self):
         model = tiny_model(seed=46, k=2)
