@@ -15,7 +15,8 @@ written in shortest round-trip form, and all randomness flows from the
 documented generator).
 
 Exit codes: 0 success, 1 verification or metric failure (gradient check
-above threshold, diverged training), 2 usage or configuration errors.
+above threshold, diverged training), 2 usage, configuration or input
+errors (a malformed file, attention the KL report cannot compare).
 
 The train config is a flat ``key = value`` text file, ``#`` comments
 allowed. Keys: data_dir, output_dir, task, embeddings_path (optional),
@@ -47,6 +48,7 @@ from .corpus import (
 )
 from .embeddings import Vocabulary, load_pretrained
 from .metrics import (
+    KlReportError,
     evaluate,
     heatmap_csv,
     heatmap_ppm,
@@ -390,6 +392,9 @@ def cmd_gradcheck(args) -> int:
 
     worst = 0.0
     for name, params in groups.items():
+        # Every gradient starts empty, as in a training step, so each
+        # operation writes its parameter gradients as training does.
+        model.zero_grad()
         err = grad_check(loss, params)
         worst = max(worst, err)
         print(f"{name} {err!r}")
@@ -499,16 +504,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CorpusError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (ConfigError, CorpusError, CheckpointError, KlReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -171,8 +171,7 @@ def load_pretrained(stream: IO[str], dim: int, vocab: Vocabulary, rng: Rng) -> P
         token = normalize_token(parts[0])
         if token in vocab:
             idx = vocab.index(token)
-            for r, v in enumerate(values):
-                emb.weights.data[r, idx] = v
+            emb.weights.data[:, idx] = values
             found.add(idx)
     loaded = len(found)
     return PretrainedLoad(emb, loaded, len(vocab) - loaded, malformed)

@@ -123,6 +123,12 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     return float(total)
 
 
+class KlReportError(ValueError):
+    """Attention values the KL report cannot compare: not distributions,
+    or a zero where the other distribution is positive (saturated
+    attention), or no instances to report on."""
+
+
 @dataclass
 class SideKl:
     """KL statistics for one argument side: mean KL per level pair
@@ -157,9 +163,9 @@ def attention_kl_report(model, ds: Dataset, flipped: bool = False) -> KlReport:
     side. Requires at least two attention levels.
     """
     if model.k < 2:
-        raise ValueError("KL report needs a model with at least 2 attention levels")
+        raise KlReportError("KL report needs a model with at least 2 attention levels")
     if len(ds) == 0:
-        raise ValueError("KL report over an empty dataset")
+        raise KlReportError("KL report over an empty dataset")
     return kl_report(((positions, prediction.trace)
                       for positions, prediction in model.forward_chunks(ds.instances)),
                      flipped)
@@ -199,12 +205,12 @@ def _side_kl(P: np.ndarray, lengths: Sequence[int], positions: Sequence[int], si
     bad = np.abs(totals - 1.0) > 1e-6
     if bad.any():
         row, b = _first(bad, positions)
-        raise ValueError(f"{where(row, b)} sums to {float(totals[row, b])!r}, "
-                         f"not a distribution")
+        raise KlReportError(f"{where(row, b)} sums to {float(totals[row, b])!r}, "
+                            f"not a distribution")
     negative = P < 0.0
     if negative.any():
         row, b = _first(np.logical_or.reduceat(negative, starts, axis=1), positions)
-        raise ValueError(f"{where(row, b)} has negative entries")
+        raise KlReportError(f"{where(row, b)} has negative entries")
 
     first, second = pairs
     uniform = np.repeat(1.0 / np.asarray(lengths, dtype=np.float64), lengths)
@@ -216,7 +222,8 @@ def _side_kl(P: np.ndarray, lengths: Sequence[int], positions: Sequence[int], si
         unsupported = (p > 0.0) & (q <= 0.0)
         if unsupported.any():
             row, b = _first(np.logical_or.reduceat(unsupported, starts, axis=1), positions)
-            raise ValueError(f"{where(q_levels[row], b)}: q has a zero entry where p does not")
+            raise KlReportError(f"{where(q_levels[row], b)}: "
+                                "q has a zero entry where p does not")
         values.append(_kl_segments(p, q, starts))
     return values
 
@@ -250,13 +257,13 @@ def kl_report(chunks: Iterable[tuple[Sequence[int], AttentionTrace]],
             values += _side_kl(P, lengths, positions, side, pairs, flipped)
         parts.append((positions, values))
     if not parts:
-        raise ValueError("KL report over no instances")
+        raise KlReportError("KL report over no instances")
 
     order = np.concatenate([np.asarray(positions, dtype=np.intp) for positions, _ in parts])
     count = order.size
     chunk_index = np.argsort(order)  # each dataset position's place in chunk order
     if not np.array_equal(order[chunk_index], np.arange(count)):
-        raise ValueError(f"chunk positions do not number {count} instances 0 to {count - 1}")
+        raise KlReportError(f"chunk positions do not number {count} instances 0 to {count - 1}")
     means = []
     for family in range(4):
         in_order = np.concatenate([values[family] for _, values in parts], axis=1)[:, chunk_index]

@@ -5,7 +5,10 @@ A forward pass embeds both arguments, encodes each with its own
 bidirectional LSTM, runs the K-level attention stack, and classifies
 the concatenated top-level features [R1; R2; R1 - R2] through a linear
 layer and softmax. During training an inverted-dropout mask is applied
-to that feature vector right before the linear layer.
+to that feature vector right before the linear layer. The loss is one
+recorded operation, the weighted negative log likelihood of the logits;
+the class probabilities are plain values, since nothing differentiates
+them.
 
 There is one forward pass, over a batch of B instances in the segment
 layout of ``tensor.segments``; training runs it with B = 1, one
@@ -28,9 +31,12 @@ Checkpoint layout (little-endian throughout):
 name, shape and initialization of every tensor, in checkpoint order,
 which is also the order ``create`` draws them in. Construction, the
 checkpoint, the optimizer groups and ``nnma gradcheck``'s groups all
-read it. The header fixes every array shape, so the payload carries no
-framing; any length mismatch is a hard error, and so is a NaN or
-infinite value. No partial model is returned.
+read it. Each LSTM direction is two rows, its four gates' weights and
+biases each stacked by rows: the same bytes, in the same order, as four
+per-gate matrices and four per-gate biases. The header fixes every
+array shape, so the payload carries no framing; any length mismatch is
+a hard error, and so is a NaN or infinite value. No partial model is
+returned.
 
 The parameters live in two buffers, one per optimizer group
 (``buffers``): the embedding matrix, and every other row laid out in
@@ -58,7 +64,7 @@ from .embeddings import EmbeddingMatrix, Vocabulary, embed_sequence
 from .recurrent import encode_pair
 from .rng import Rng
 from .tensor import (FlatParams, ParamGroup, ShapeError, Tensor, _make, claim_runs,
-                     nll_from_logits, no_grad, runs, scale, softmax)
+                     nll_from_logits, no_grad, runs)
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
@@ -73,7 +79,8 @@ class ParamSpec(NamedTuple):
     """One row of the parameter table. ``name`` is dotted, its first
     component the group (``embeddings``, ``enc1``, ``enc2``, ``level1``
     to ``levelK``, ``classifier``); ``init`` is ``embedding`` (the
-    embedding scheme), ``xavier`` (``xavier_uniform``) or ``zeros``."""
+    embedding scheme), ``xavier`` (``xavier_uniform``), ``gates`` (four
+    xavier gate matrices stacked by rows) or ``zeros``."""
 
     name: str
     shape: tuple[int, int]
@@ -89,16 +96,16 @@ def parameter_table(d_e: int, d: int, d_m: int, k: int, n: int,
     """The rows for every parameter of a model with these dimensions
     (n labels, v vocabulary entries), in checkpoint and draw order: the
     embeddings, each encoder's forward then backward direction, k
-    attention levels, the classifier. The layers take their tensors by
-    these names through ``tensor.ParamGroup``, so the names and their
-    order are stated here alone. Rows are made as they are read, so a
-    reader can stop early."""
+    attention levels, the classifier. An LSTM direction is two rows, its
+    input, forget, output and candidate gates stacked by rows in that
+    order: ``W`` (4d x (d_e + d)) and ``b`` (4d x 1). The layers take
+    their tensors by these names through ``tensor.ParamGroup``, so the
+    names and their order are stated here alone. Rows are made as they
+    are read, so a reader can stop early."""
     yield ParamSpec("embeddings", (d_e, v), "embedding")
     for name in ("enc1.forward", "enc1.backward", "enc2.forward", "enc2.backward"):
-        for gate in "ifoc":
-            yield ParamSpec(f"{name}.W_{gate}", (d, d_e + d), "xavier")
-        for gate in "ifoc":
-            yield ParamSpec(f"{name}.b_{gate}", (d, 1), "zeros")
+        yield ParamSpec(f"{name}.W", (4 * d, d_e + d), "gates")
+        yield ParamSpec(f"{name}.b", (4 * d, 1), "zeros")
     for level in range(1, k + 1):
         yield ParamSpec(f"level{level}.w_m", (d_m, memory_input_width(level, d, d_m)), "xavier")
         for arg in (f"level{level}.arg1", f"level{level}.arg2"):
@@ -112,11 +119,14 @@ def parameter_table(d_e: int, d: int, d_m: int, k: int, n: int,
 def draw(spec: ParamSpec, rng: Rng, out: np.ndarray) -> None:
     """Fill ``out``, a C-contiguous array of the row's shape, for a
     ``xavier`` row (uniform(-r, r), r = sqrt(6 / (fan_in + fan_out)) with
-    fan_in = cols and fan_out = rows) or a ``zeros`` row; only a
-    ``xavier`` row reads the generator."""
+    fan_in = cols and fan_out = rows), a ``gates`` row (the same with
+    fan_out = rows / 4, each gate's own; one draw in row order reads the
+    words the four gate matrices would, one after the other) or a
+    ``zeros`` row; only the zeros row leaves the generator alone."""
     rows, cols = spec.shape
-    if spec.init == "xavier":
-        r = math.sqrt(6.0 / (rows + cols))
+    if spec.init in ("xavier", "gates"):
+        fan_out = rows // 4 if spec.init == "gates" else rows
+        r = math.sqrt(6.0 / (fan_out + cols))
         rng.uniform_matrix(rows, cols, -r, r, out=out)
     elif spec.init == "zeros":
         out.fill(0.0)
@@ -162,7 +172,8 @@ def classify(final: Tensor, w_p: Tensor, b_p: Tensor,
 @dataclass
 class Prediction:
     """Classifier output for a batch of B instances: the class
-    distributions (one column each), the argmax label index of each
+    distributions (one column each, a plain tensor no operation
+    records), the argmax label index of each
     (lowest index wins ties), the full attention trace, and the raw
     logits the loss is computed from."""
 
@@ -276,7 +287,9 @@ class NnmaModel:
         h1, h2 = encode_pair(x1, x2, self.enc1, self.enc2, lengths1, lengths2)
         trace = run_stack(h1, h2, self.levels, lengths1=lengths1, lengths2=lengths2)
         logits = classify(trace.final, self.w_p, self.b_p, dropout_mask)
-        probabilities = softmax(logits)
+        # Each column's softmax, shifted by its maximum; the loss reads the logits.
+        e = np.exp(logits.data - logits.data.max(axis=0))
+        probabilities = Tensor.owning(e / e.sum(axis=0))
         predicted = np.argmax(probabilities.data, axis=0).tolist()
         return Prediction(probabilities, predicted, trace, logits)
 
@@ -297,9 +310,7 @@ class NnmaModel:
     def loss(self, prediction: Prediction, gold: int, weight: float = 1.0) -> Tensor:
         """weight * (-log P[gold]), computed from the logits via
         log-sum-exp so extreme confidence stays finite."""
-        if weight < 0:
-            raise ValueError(f"weight must be nonnegative, got {weight}")
-        return scale(nll_from_logits(prediction.logits, gold), weight)
+        return nll_from_logits(prediction.logits, gold, weight)
 
     # -- checkpoint ----------------------------------------------------------
 

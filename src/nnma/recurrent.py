@@ -14,8 +14,10 @@ recurrences in one pass).
 
 Each argument has its own encoder, the ``enc1`` or ``enc2`` group of
 ``model.parameter_table``: a ``forward`` and a ``backward`` direction,
-each with gate weights ``W_i``, ``W_f``, ``W_o``, ``W_c`` and biases
-``b_i`` to ``b_c``. Nothing is shared between the two encoders.
+each with its four gates' weights stacked by rows in one 4d x
+(input_dim + d) matrix ``W`` (input, forget, output and candidate gate,
+in that order) and their biases in one 4d x 1 column ``b``. Nothing is
+shared between the two encoders.
 """
 
 from __future__ import annotations
@@ -100,9 +102,10 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
     an instance's words first-to-last and the backward one last-to-first,
     both from zero h and c, so no instance reads another's words.
 
-    Each step consumes [x; h_prev] through the four gate projections:
-    i, f, o = sigmoid(W_* [x; h_prev] + b_*), c_hat = tanh(W_c [x; h_prev]
-    + b_c), c = i * c_hat + f * c_prev, h = o * tanh(c).
+    Each step consumes [x; h_prev] through the four gate projections,
+    the row blocks of W [x; h_prev] + b: i, f, o = sigmoid of the first
+    three, c_hat = tanh of the fourth, c = i * c_hat + f * c_prev,
+    h = o * tanh(c).
 
     All 4B directions are one recorded operation. Each direction's
     input projection is one matrix product over the words of all B
@@ -119,16 +122,16 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
     The parameters are read where they lie: ``p1`` and ``p2`` must be
     consecutive runs of one ``FlatParams`` layout, ``p2`` right after
     ``p1``, each in the parameter table's order, as a model's encoders
-    are. Each direction's rows W_i to W_c, then b_i to b_c, are then one
-    contiguous run, and the four directions sit one run apart, so the
-    stacked (4, 4d, d_e + d) weights and (4, 4d) biases are views of the
+    are. Each direction's ``W`` then ``b`` are then one contiguous run,
+    and the four directions sit one run apart, so the stacked
+    (4, 4d, d_e + d) weights and (4, 4d) biases are views of the
     layout's values. The backward pass computes each direction's weight
     gradient as one product, and its bias gradient as one row sum,
     straight into the same views of the layout's gradients when no
     encoder parameter has a gradient yet (``tensor.claim_runs``); else it
     gives them to ``Tensor.backward`` as the parameters' adjoints.
     """
-    n_in, d = x1.rows, p1.forward.W_i.rows
+    n_in, d = x1.rows, p1.forward.W.rows // 4
     if min(x1.cols, x2.cols) == 0:
         raise ValueError("encode_pair needs at least one word in each argument")
     if x2.rows != n_in:
@@ -137,10 +140,9 @@ def encode_pair(x1: Tensor, x2: Tensor, p1: ParamGroup, p2: ParamGroup,
     batch = len(sizes[0])
     if len(sizes[1]) != batch:
         raise ShapeError(f"{batch} first and {len(sizes[1])} second arguments")
-    directions = (p1.forward, p1.backward, p2.forward, p2.backward)
-    params = [t for p in directions
-              for t in (p.W_i, p.W_f, p.W_o, p.W_c, p.b_i, p.b_f, p.b_o, p.b_c)]
-    if any(t.shape != ((d, n_in + d) if i % 8 < 4 else (d, 1)) for i, t in enumerate(params)):
+    params = [t for p in (p1.forward, p1.backward, p2.forward, p2.backward) for t in (p.W, p.b)]
+    if any(t.shape != ((4 * d, n_in + d) if i % 2 == 0 else (4 * d, 1))
+           for i, t in enumerate(params)):
         raise ShapeError(f"gate parameters do not all fit a {n_in}-row input "
                          f"with hidden size {d}")
     span1, span2 = p1.span, p2.span

@@ -4,7 +4,7 @@ Every value is a double-precision matrix; vectors are single-column
 matrices. The model's layers are a few large operations, each made by
 ``_make`` from a numpy forward pass and a hand-written backward pass
 (the encoders, the attention stack, the classifier); this module holds
-the engine and the small operations around them (lookup, softmax, loss).
+the engine and the small operations around them (lookups, the loss).
 Each operation records its inputs and a
 vector-Jacobian product (except inside ``no_grad()``, for forward
 passes that no backward pass will use), and ``backward()`` on a 1x1
@@ -272,8 +272,8 @@ class ParamGroup:
     """The tensors of ``named`` (a mapping from ``model.parameter_table``
     names, in the table's order) whose names start with ``prefix`` and a
     dot. Each next name component is an attribute: the tensor itself, or
-    the group one level down, so ``ParamGroup("enc1", named).forward.W_i``
-    is ``named["enc1.forward.W_i"]``.
+    the group one level down, so ``ParamGroup("enc1", named).forward.W``
+    is ``named["enc1.forward.W"]``.
 
     ``span`` is found once, here: ``(layout, start, stop)`` when the
     group's tensors are consecutive leaves of one ``FlatParams`` layout,
@@ -460,23 +460,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     return out
 
 
-# -- primitive operations -----------------------------------------------------
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax of each column, stabilized by subtracting the column's
-    maximum: one distribution per column, as the classifier gives one
-    per instance of a batch."""
-    shifted = x.data - x.data.max(axis=0)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=0)
-
-    def vjp(g: np.ndarray):
-        return (out * (g - (g * out).sum(axis=0)),)
-
-    return _make(out, (x,), vjp)
-
-
 # -- segments: a batch of instances side by side ------------------------------
 #
 # A batch of B instances is carried by the same 2-D tensors as one
@@ -505,16 +488,6 @@ def spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
 
 
 # -- lookups and the loss -------------------------------------------------------
-
-
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a plain float constant."""
-    factor = float(factor)
-
-    def vjp(g: np.ndarray):
-        return (g * factor,)
-
-    return _make(x.data * factor, (x,), vjp)
 
 
 def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
@@ -561,23 +534,27 @@ def column_block(m: Tensor, start: int, stop: int) -> Tensor:
     return _make(out, (m,), vjp)
 
 
-def nll_from_logits(logits: Tensor, target: int) -> Tensor:
-    """Negative log of softmax(logits)[target], computed as
-    ``logsumexp(logits) - logits[target]`` for stability."""
+def nll_from_logits(logits: Tensor, target: int, weight: float = 1.0) -> Tensor:
+    """``weight`` times the negative log of softmax(logits)[target],
+    computed as ``logsumexp(logits) - logits[target]`` for stability and
+    then multiplied by the weight, which must not be negative."""
     if logits.cols != 1:
         raise ShapeError(f"nll_from_logits expects a column vector, got {logits.shape}")
     if not 0 <= target < logits.rows:
         raise IndexError(f"target {target} out of range for {logits.rows} classes")
+    if weight < 0:
+        raise ValueError(f"weight must be nonnegative, got {weight}")
+    weight = float(weight)
     z = logits.data
     m = z.max()
     e = np.exp(z - m)
     total = e.sum()
-    out = np.array([[m + np.log(total) - z[target, 0]]])
+    out = np.array([[m + np.log(total) - z[target, 0]]]) * weight
 
     def vjp(g: np.ndarray):
         p = e / total
         p[target, 0] -= 1.0
-        return (g[0, 0] * p,)
+        return ((g[0, 0] * weight) * p,)
 
     return _make(out, (logits,), vjp)
 

@@ -12,6 +12,9 @@ It also keeps the column lookup with a dense backward
 (``select_columns``) and the momentum step as three whole-array passes
 (``MomentumSgd``): together the oracle for a lookup gradient kept as a
 compact block and ``nnma.trainer.MomentumSgd``'s one cache-blocked sweep.
+The recorded column ``softmax`` and ``scale`` by a constant, which the
+model once recorded for its class distributions and weighted loss, are
+kept for the tests built on them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from nnma.attention import AttentionTrace, GeneralRepr, LevelOutput
 from nnma.embeddings import embed_sequence
 from nnma.model import Prediction
 from nnma.recurrent import encode_pair
-from nnma.tensor import ParamGroup, ShapeError, Tensor, _make, segments, softmax, spans
+from nnma.tensor import ParamGroup, ShapeError, Tensor, _make, segments, spans
 
 
 # -- primitive operations -----------------------------------------------------
@@ -169,6 +172,20 @@ def segment_matvec(m: Tensor, w: Tensor, lengths: Sequence[int] | None = None) -
     return _make(out, (m, w), vjp)
 
 
+def softmax(x: Tensor) -> Tensor:
+    """Softmax of each column, stabilized by subtracting the column's
+    maximum: one distribution per column, as the classifier gives one
+    per instance of a batch."""
+    shifted = x.data - x.data.max(axis=0)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=0)
+
+    def vjp(g: np.ndarray):
+        return (out * (g - (g * out).sum(axis=0)),)
+
+    return _make(out, (x,), vjp)
+
+
 def segment_softmax(scores: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
     """Softmax within each segment of a 1 x N score row, returned as an
     N x 1 column: every instance's scores become its own distribution.
@@ -236,6 +253,16 @@ def select_columns(m: Tensor, indices: Sequence[int]) -> Tensor:
         return (grad,)
 
     return _make(m.data[:, idx], (m,), vjp)
+
+
+def scale(x: Tensor, factor: float) -> Tensor:
+    """Multiply by a plain float constant."""
+    factor = float(factor)
+
+    def vjp(g: np.ndarray):
+        return (g * factor,)
+
+    return _make(x.data * factor, (x,), vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -306,12 +306,13 @@ def test_train_step_results_alias_nothing():
     train_step(model, inst, 1, 1.0, opt_net, opt_emb, Tensor(np.ones((18, 1))))
     tape = topo_order(losses[0])
     # Two lookups, the encoder operation and its two column blocks, the
-    # attention stack, the classifier, the loss and its weight.
-    assert sum(node._vjp is not None for node in tape) == 9
+    # attention stack, the classifier and the weighted loss.
+    assert sum(node._vjp is not None for node in tape) == 8
     assert_no_aliasing(tape, model.parameters())
 
 
 def test_batched_forward_results_alias_nothing():
     model = make_model(3, seed=13)
     prediction = model.forward_batch(make_instances([(3, 1), (6, 4), (1, 2)], seed=13))
-    assert_no_aliasing(topo_order(prediction.probabilities), model.parameters())
+    assert_no_aliasing(topo_order(prediction.logits) + [prediction.probabilities],
+                       model.parameters())

@@ -36,6 +36,8 @@ from nnma.cli import (
     parse_dims,
 )
 import nnma
+from nnma import attention, recurrent
+from nnma import model as model_module
 from nnma.corpus import parse_tsv
 from nnma.model import NnmaModel
 from nnma.tensor import Tensor
@@ -509,6 +511,26 @@ class TestAnalyze:
         assert "kl_12" not in stdout
         assert (out_dir / "heatmap_0.ppm").is_file()
 
+    def test_saturated_attention_exits_2(self, workspace, tmp_path, capsys):
+        # Scores scaled until some softmax weights underflow to 0.0 where
+        # the other level's are positive: the KL report refuses, and the
+        # command ends with an error line naming the instance, not a
+        # traceback.
+        model = NnmaModel.load(workspace / "out" / "model.ckpt")
+        for level in model.levels:
+            for side in (level.arg1, level.arg2):
+                side.w_s.data *= 5e4
+        model.save(tmp_path / "saturated.ckpt")
+        out_dir = tmp_path / "analysis"
+        assert main(["analyze", "--model", str(tmp_path / "saturated.ckpt"),
+                     "--data", str(workspace / "data" / "test.tsv"),
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "attention of instance" in err
+        assert "q has a zero entry where p does not" in err
+        assert not (out_dir / "kl_report.txt").exists()
+
     def test_heatmap_csv_row_count(self, workspace, tmp_path):
         out_dir = tmp_path / "analysis"
         assert main(["analyze", "--model", str(workspace / "out" / "model.ckpt"),
@@ -596,6 +618,24 @@ class TestGradcheck:
         assert main(["gradcheck", "--dims",
                      "d=2,d_m=2,d_e=2,k=1,len=2,vocab=5"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_every_operation_writes_its_gradients_in_place(self, capsys, monkeypatch):
+        # Each group's check starts with no gradient anywhere, as a
+        # training step does, so every operation's backward pass writes
+        # its parameter gradients into the flat buffer, the path training
+        # runs, and none falls back to returning its products.
+        claims = []
+        for module in (recurrent, attention, model_module):
+            def spy(leaves, real=module.claim_runs):
+                claims.append(real(leaves))
+                return claims[-1]
+
+            monkeypatch.setattr(module, "claim_runs", spy)
+        assert main(["gradcheck"]) == 0
+        # 7 groups at the default k = 3, one backward pass through the
+        # encoder, the attention stack and the classifier each.
+        assert len(claims) == 7 * 3
+        assert all(claims)
 
     def test_bad_dims_key_exits_2(self, capsys):
         assert main(["gradcheck", "--dims", "width=3"]) == 2

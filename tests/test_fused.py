@@ -12,8 +12,7 @@ from nnma.corpus import Instance
 from nnma.embeddings import Vocabulary
 from nnma.model import CHUNK, NnmaModel, classify
 from nnma.rng import Rng
-from nnma.tensor import (FlatParams, ShapeError, Tensor, grad_check, nll_from_logits, no_grad,
-                         scale)
+from nnma.tensor import FlatParams, ShapeError, Tensor, grad_check, nll_from_logits, no_grad
 from nnma.trainer import dropout_mask
 from table_params import drawn
 
@@ -110,7 +109,7 @@ def test_training_step_gradients_are_the_per_op_graph_bytewise(K, n1, n2):
     def grads(forward):
         model.zero_grad()
         logits = forward([inst], mask).logits
-        scale(nll_from_logits(logits, 2), 0.75).backward()
+        nll_from_logits(logits, 2, 0.75).backward()
         return logits.data, [p.grad.copy() for p in model.parameters()]
 
     got = grads(model.forward_batch)

@@ -148,8 +148,8 @@ class TestEvaluate:
             for a, b in zip(plain.trace.levels, recorded.trace.levels):
                 np.testing.assert_array_equal(a.a1.data, b.a1.data)
                 np.testing.assert_array_equal(a.a2.data, b.a2.data)
-            assert recorded.probabilities._parents != ()
-            assert plain.probabilities._parents == ()
+            assert recorded.logits._parents != ()
+            assert plain.logits._parents == ()
             assert plain.trace.levels[-1].a1._parents == ()
 
     def test_training_after_evaluate_still_fills_every_gradient(self):

@@ -14,7 +14,8 @@ from nnma.embeddings import Vocabulary
 from nnma.model import CheckpointError, NnmaModel, ParamSpec, Prediction, parameter_table
 from nnma.rng import Rng
 from nnma.corpus import Instance, synth_generate
-from nnma.tensor import Tensor, grad_check, softmax, topo_order
+from nnma.tensor import Tensor, grad_check, topo_order
+from per_op import softmax
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
 
@@ -139,9 +140,10 @@ class TestParameterGroups:
     def test_counts(self):
         model = tiny_model(k=2)
         assert len(model.embedding_parameters()) == 1
-        # two encoders x two directions x 8 tensors, 7 per level x 2, classifier pair
-        assert len(model.network_parameters()) == 32 + 14 + 2
-        assert len(model.parameters()) == 49
+        # two encoders x two directions x (stacked W, b), 7 per level x 2,
+        # classifier pair
+        assert len(model.network_parameters()) == 8 + 14 + 2
+        assert len(model.parameters()) == 25
 
     def test_embedding_group_is_disjoint(self):
         model = tiny_model()
@@ -398,7 +400,7 @@ class TestParameterTable:
         table = model.table
         assert table == list(parameter_table(d_e=2, d=2, d_m=3, k=k, n=4, v=7))
         names = [spec.name for spec in table]
-        assert len(set(names)) == len(names) == 1 + 32 + 7 * k + 2
+        assert len(set(names)) == len(names) == 1 + 8 + 7 * k + 2
         params = model.parameters()
         assert [p.shape for p in params] == [spec.shape for spec in table]
         assert [spec for spec in table if spec.group == "embeddings"] == [
@@ -433,7 +435,7 @@ class TestParameterTable:
                     node = getattr(node, part)
                 assert node is p, spec.name
                 resolved += 1
-            assert resolved == 32 + 7 * k
+            assert resolved == 8 + 7 * k
             assert model.embeddings.weights is rows[0][1]
             assert (model.w_p, model.b_p) == tuple(p for _, p in rows[-2:])
 
@@ -461,12 +463,26 @@ def test_training_tape_size_at_overfit_shape():
     assert len(topo_order(loss)) < 120
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_training_tape_is_eight_operations_and_the_parameters(k):
+    # Each LSTM direction is two rows (stacked gate weights, stacked
+    # biases) and the weighted loss is one operation, at every depth.
+    data = synth_generate(42, 20)
+    inst = data.instances[1]
+    model = NnmaModel.create(Vocabulary.from_instances(data.instances),
+                             data.label_inventory(), d_e=6, d=4, d_m=5, k=k, rng=Rng(k))
+    assert len(model.parameters()) == 1 + 8 + 7 * k + 2
+    loss = model.loss(model.forward(inst, Tensor(np.ones((24, 1)))),
+                      model.label_index(inst.label), 0.5)
+    assert len(topo_order(loss)) == 8 + len(model.parameters())
+
+
 def test_training_tape_exact_at_overfit_shape():
     # Exact guard on the same instance: the four LSTM directions are one
     # recorded operation, read through two column blocks; the attention
     # stack is one operation over both levels and the classifier another.
-    # 9 operations (two lookups, encoder, two blocks, stack, classifier,
-    # loss, weight) and 49 parameters.
+    # 8 operations (two lookups, encoder, two blocks, stack, classifier,
+    # weighted loss) and 25 parameters.
     data = synth_generate(42, 20)
     inst = data.instances[0]
     model = NnmaModel.create(Vocabulary.from_instances(data.instances),
@@ -476,7 +492,7 @@ def test_training_tape_exact_at_overfit_shape():
                       model.label_index(inst.label))
     tape = topo_order(loss)
     assert (len(inst.arg1), len(inst.arg2)) == (14, 15)
-    assert len(tape) == 58
+    assert len(tape) == 33
     groups = [model.enc1.tensors() + model.enc2.tensors(),
               [t for level in model.levels for t in level.tensors()],
               [model.w_p, model.b_p]]

@@ -10,16 +10,36 @@ from per_op import add, concat, hadamard, hstack, matmul, sigmoid, sum_all, tanh
 from table_params import drawn, laid_out
 
 
+def gate(m, k):
+    """Gate k's rows (input, forget, output, candidate: k = 0 to 3) of a
+    direction's stacked ``W`` or ``b``, recorded: backward places the
+    adjoint in a zero matrix of ``m``'s shape."""
+    d = m.rows // 4
+    rows = slice(k * d, (k + 1) * d)
+
+    def vjp(g):
+        full = np.zeros(m.shape)
+        full[rows] = g
+        return (full,)
+
+    return _make(m.data[rows].copy(), (m,), vjp)
+
+
+def gate_blocks(params):
+    """The gradients of stacked ``W`` and ``b`` tensors, each cut into
+    its four gate row blocks: the per-gate gradients, in table order."""
+    return [block.copy() for t in params for block in np.split(t.grad, 4)]
+
+
 def lstm_step(x, h_prev, c_prev, p):
     """Reference cell built from tensor primitives; returns (h, c).
 
-    The gate input is the stacked vector [x; h_prev], in that order.
+    The gate input is the stacked vector [x; h_prev], in that order, and
+    each gate reads its own row block of ``W`` and ``b``.
     """
     z = concat([x, h_prev])
-    i = sigmoid(add(matmul(p.W_i, z), p.b_i))
-    f = sigmoid(add(matmul(p.W_f, z), p.b_f))
-    o = sigmoid(add(matmul(p.W_o, z), p.b_o))
-    c_hat = tanh(add(matmul(p.W_c, z), p.b_c))
+    i, f, o, c_hat = (add(matmul(gate(p.W, k), z), gate(p.b, k)) for k in range(4))
+    i, f, o, c_hat = sigmoid(i), sigmoid(f), sigmoid(o), tanh(c_hat)
     c = add(hadamard(i, c_hat), hadamard(f, c_prev))
     h = hadamard(o, tanh(c))
     return h, c
@@ -27,7 +47,7 @@ def lstm_step(x, h_prev, c_prev, p):
 
 def unrolled_direction(seq, p, reverse=False):
     """Reference direction run: one ``lstm_step`` graph per word."""
-    d = p.W_i.rows
+    d = p.W.rows // 4
     h = Tensor.zeros(d, 1)
     c = Tensor.zeros(d, 1)
     order = range(seq.cols - 1, -1, -1) if reverse else range(seq.cols)
@@ -47,24 +67,24 @@ def run_direction(seq, p, reverse=False):
     last-to-first, but output column i still corresponds to word i of
     the original order.
 
-    Each step consumes [x; h_prev] through the four gate projections:
-    i, f, o = sigmoid(W_* [x; h_prev] + b_*), c_hat = tanh(W_c [x; h_prev]
-    + b_c), c = i * c_hat + f * c_prev, h = o * tanh(c). The gate weights
-    are stacked into one 4d x (input_dim + d) matrix, the input
-    projection of every word is one matrix product, and the backward pass
-    is hand-written backpropagation through time.
+    Each step consumes [x; h_prev] through the four gate projections,
+    the row blocks of W [x; h_prev] + b: i, f, o = sigmoid of the first
+    three, c_hat = tanh of the fourth, c = i * c_hat + f * c_prev,
+    h = o * tanh(c). The input projection of every word is one matrix
+    product, and the backward pass is hand-written backpropagation
+    through time.
     """
     length = seq.cols
     if length == 0:
         raise ValueError("run_direction needs at least one word")
-    d = p.W_i.rows
+    d = p.W.rows // 4
     n_in = seq.rows
     params = p.tensors()
-    W = np.concatenate([t.data for t in params[:4]], axis=0)
+    W = p.W.data
     if W.shape[1] != n_in + d:
         raise ShapeError(f"gate weights {W.shape} do not fit a {n_in}-row "
                          f"input with hidden size {d}")
-    b = np.concatenate([t.data for t in params[4:]], axis=0).reshape(-1)
+    b = p.b.data.reshape(-1)
     W_x, W_h = W[:, :n_in], W[:, n_in:]
 
     # Rows are steps in consumption order.
@@ -110,9 +130,7 @@ def run_direction(seq, p, reverse=False):
         dW = DA.T @ np.hstack([X, h_prev])
         db = DA.sum(axis=0).reshape(-1, 1)
         dX = dX[::-1].T if reverse else dX.T
-        return ((np.ascontiguousarray(dX),)
-                + tuple(dW[k * d:(k + 1) * d] for k in range(4))
-                + tuple(db[k * d:(k + 1) * d] for k in range(4)))
+        return np.ascontiguousarray(dX), dW, db
 
     return _make(np.ascontiguousarray(out), (seq, *params), vjp)
 
@@ -174,8 +192,7 @@ class TestLstmStep:
 
     def test_scalar_hand_calculation(self):
         p = zero_params(1, 1)
-        for mat in (p.W_i, p.W_f, p.W_o, p.W_c):
-            mat.data[:] = [[1.0, 0.0]]
+        p.W.data[:] = [[1.0, 0.0]]  # every gate's row
         h, c = lstm_step(Tensor([[1.0]]), Tensor([[0.0]]), Tensor([[0.0]]), p)
 
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
@@ -190,8 +207,7 @@ class TestLstmStep:
         rng = Rng(31)
         w = [rng.uniform(-1, 1), rng.uniform(-1, 1)]
         p = zero_params(1, 1)
-        for mat in (p.W_i, p.W_f, p.W_o, p.W_c):
-            mat.data[:] = [w]
+        p.W.data[:] = [w]  # every gate's row
         x, h_prev, c_prev = (rng.uniform(-1, 1) for _ in range(3))
         h, c = lstm_step(Tensor([[x]]), Tensor([[h_prev]]), Tensor([[c_prev]]), p)
         h_ref, c_ref = scalar_cell(w, x, h_prev, c_prev)
@@ -203,7 +219,7 @@ class TestLstmStep:
         # reads only its first input_dim columns must respond to x and
         # ignore h_prev.
         p = zero_params(1, 1)
-        p.W_c.data[:] = [[1.0, 0.0]]
+        p.W.data[3] = [1.0, 0.0]  # the candidate gate's row
         h_a, _ = lstm_step(Tensor([[2.0]]), Tensor([[0.0]]), Tensor([[0.0]]), p)
         h_b, _ = lstm_step(Tensor([[2.0]]), Tensor([[5.0]]), Tensor([[0.0]]), p)
         assert h_a.item() == h_b.item()
@@ -290,8 +306,7 @@ class TestFusedAgainstReference:
         input_dim, hidden_dim = 5, 3
         p = random_params(input_dim, hidden_dim, seed)
         rng = Rng(seed + 1)
-        for bias in p.tensors()[4:]:
-            bias.data[:] = rng.uniform_matrix(hidden_dim, 1, -0.5, 0.5)
+        p.b.data[:] = rng.uniform_matrix(4 * hidden_dim, 1, -0.5, 0.5)
         seq = random_seq(input_dim, length, seed + 2, requires_grad=True)
         # Distinct weights per output entry, so every column's adjoint
         # differs and a misaligned step shows.
@@ -313,7 +328,9 @@ class TestFusedAgainstReference:
                 t.zero_grad()
             out = run(seq, p, reverse)
             loss(run).backward()
-            results.append((out.data, [t.grad.copy() for t in inputs]))
+            grads = [seq.grad.copy()] + gate_blocks(p.tensors())
+            assert len(grads) == 9
+            results.append((out.data, grads))
         (fused, fused_grads), (ref, ref_grads) = results
         assert fused.shape == ref.shape == (3, length)
         assert np.max(np.abs(fused - ref)) <= 1e-12
@@ -394,7 +411,7 @@ class TestEncodePair:
         p1, p2 = laid_out(["enc1", "enc2"], rng, d_e=input_dim, d=hidden_dim)
         for t in p1.tensors() + p2.tensors():
             if t.cols == 1:
-                t.data[:] = rng.uniform_matrix(hidden_dim, 1, -0.5, 0.5)
+                t.data[:] = rng.uniform_matrix(4 * hidden_dim, 1, -0.5, 0.5)
         xs = [Tensor(rng.uniform_matrix(input_dim, n, -1.0, 1.0), requires_grad=True)
               for n in lengths]
         # Distinct weights per output entry, so every column's adjoint
@@ -409,8 +426,8 @@ class TestEncodePair:
     @pytest.mark.parametrize("lengths", [(1, 1), (1, 5), (5, 1), (4, 4), (13, 30), (30, 13)])
     def test_bitwise_equal_to_reference_values_and_34_gradients(self, lengths):
         (x1, x2), (p1, p2), loss = self.setup_case(lengths, seed=80 + sum(lengths))
-        inputs = [x1, x2] + p1.tensors() + p2.tensors()
-        assert len(inputs) == 34
+        params = p1.tensors() + p2.tensors()
+        inputs = [x1, x2] + params
         results = []
         for encode in (lambda: encode_pair(x1, x2, p1, p2),
                        lambda: (bi_encode(x1, p1), bi_encode(x2, p2))):
@@ -418,7 +435,9 @@ class TestEncodePair:
                 t.zero_grad()
             h1, h2 = encode()
             loss(h1, h2).backward()
-            results.append(([h1.data, h2.data], [t.grad.copy() for t in inputs]))
+            grads = [x1.grad.copy(), x2.grad.copy()] + gate_blocks(params)
+            assert len(grads) == 34
+            results.append(([h1.data, h2.data], grads))
         (fused, fused_grads), (ref, ref_grads) = results
         assert fused[0].shape == (6, lengths[0]) and fused[1].shape == (6, lengths[1])
         for got, want in zip(fused + fused_grads, ref + ref_grads):
@@ -433,8 +452,7 @@ class TestEncodePair:
         (x1, x2), (p1, p2), loss = self.setup_case(lengths, seed=95)
         short = p1 if lengths[0] == 1 else p2
         for p in (short.forward, short.backward):
-            for w in (p.W_i, p.W_f, p.W_o, p.W_c):
-                w.data[:, 5:] = np.nan
+            p.W.data[:, 5:] = np.nan
         inputs = [x1, x2] + p1.tensors() + p2.tensors()
         results = []
         for encode in (lambda: encode_pair(x1, x2, p1, p2),

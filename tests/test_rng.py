@@ -119,14 +119,18 @@ def test_jump_matrices_are_packed_and_read_only():
 
 
 def test_paper_shape_weights_after_the_embedding_draw_take_lanes(monkeypatch):
-    # Each side's w_a (10k words) and w_b (20k) per level follow the
-    # embedding matrix, whose draw builds the jumps.
+    # Each LSTM direction's stacked gate weights (4d x (d_e + d), 20k
+    # words), then each side's w_a (10k) and w_b (20k) per level, follow
+    # the embedding matrix, whose draw builds the jumps.
     R._jump.cache_clear()
     calls = lane_draws(monkeypatch)
     vocab = Vocabulary([f"w{i}" for i in range(20000)])
     NnmaModel.create(vocab, ["A", "B"], d_e=50, d=50, d_m=200, k=2, rng=Rng(3))
-    attention = [c for c in calls if c in (10000 // R._LANE_STRIDE, 20000 // R._LANE_STRIDE)]
-    assert len(attention) == 8
+    w_a, wide = 10000 // R._LANE_STRIDE, 20000 // R._LANE_STRIDE
+    after_embedding = calls[calls.index(wide):]
+    encoder, attention = after_embedding[:4], after_embedding[4:]
+    assert encoder == [wide] * 4
+    assert [c for c in attention if c in (w_a, wide)] == [w_a, wide] * 4
 
 
 def test_only_lane_draws_build_jump_matrices():

@@ -172,7 +172,7 @@ def test_zip_binary_shape_mismatch():
 
 
 def test_softmax_uniform():
-    out = T.softmax(Tensor([0.0, 0.0, 0.0]))
+    out = ops.softmax(Tensor([0.0, 0.0, 0.0]))
     assert np.array_equal(out.data, np.full((3, 1), 1.0 / 3.0))
 
 
@@ -181,13 +181,13 @@ def test_softmax_shift_invariance():
     for _ in range(20):
         x = rng.uniform(-5, 5, (6, 1))
         c = rng.uniform(-100, 100)
-        a = T.softmax(Tensor(x)).data
-        b = T.softmax(Tensor(x + c)).data
+        a = ops.softmax(Tensor(x)).data
+        b = ops.softmax(Tensor(x + c)).data
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_softmax_hand_values():
-    out = T.softmax(Tensor([1.0, 2.0])).data
+    out = ops.softmax(Tensor([1.0, 2.0])).data
     # e^1/(e^1+e^2), e^2/(e^1+e^2) evaluated independently
     assert abs(out[0, 0] - 0.2689414213699951) < 1e-12
     assert abs(out[1, 0] - 0.7310585786300049) < 1e-12
@@ -197,7 +197,7 @@ def test_softmax_positive_and_normalized_for_large_inputs():
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = rng.uniform(-50, 50, (8, 1))
-        p = T.softmax(Tensor(x)).data
+        p = ops.softmax(Tensor(x)).data
         assert (p > 0).all()
         assert abs(p.sum() - 1.0) < 1e-12
 
@@ -206,7 +206,7 @@ def test_softmax_gradient():
     rng = np.random.default_rng(9)
     x = rand(5, 1, rng)
     w = Tensor(rng.uniform(-1, 1, (5, 1)))  # fixed projection to scalar
-    f = lambda: ops.sum_all(ops.hadamard(T.softmax(x), w))
+    f = lambda: ops.sum_all(ops.hadamard(ops.softmax(x), w))
     assert max_err(analytic_grad(f, x), numeric_grad(f, x)) < 1e-6
 
 
@@ -264,12 +264,12 @@ def test_segments_checked(lengths):
 def test_softmax_is_per_column_and_bitwise_per_column():
     rng = np.random.default_rng(21)
     x = rand(4, 3, rng, -5, 5)
-    out = T.softmax(x).data
+    out = ops.softmax(x).data
     for j in range(3):
-        alone = T.softmax(Tensor(x.data[:, j].copy())).data
+        alone = ops.softmax(Tensor(x.data[:, j].copy())).data
         assert out[:, j:j + 1].tobytes() == alone.tobytes()
     w = Tensor(rng.uniform(-1, 1, (4, 3)))
-    f = lambda: ops.sum_all(ops.hadamard(T.softmax(x), w))
+    f = lambda: ops.sum_all(ops.hadamard(ops.softmax(x), w))
     assert max_err(analytic_grad(f, x), numeric_grad(f, x)) < 1e-6
 
 
@@ -282,9 +282,9 @@ def test_segment_softmax_is_each_segment_alone_bitwise():
     out = ops.segment_softmax(row, SEGMENTS)
     assert out.shape == (sum(SEGMENTS), 1)
     for s, t in T.spans(SEGMENTS):
-        alone = T.softmax(Tensor(row.data[0, s:t].copy())).data
+        alone = ops.softmax(Tensor(row.data[0, s:t].copy())).data
         assert out.data[s:t].tobytes() == alone.tobytes()
-    assert ops.segment_softmax(row).data.tobytes() == T.softmax(
+    assert ops.segment_softmax(row).data.tobytes() == ops.softmax(
         Tensor(row.data[0].copy())).data.tobytes()
 
 
@@ -709,7 +709,7 @@ def test_linear_ops_gradient_is_value_independent():
 def test_detached_tensor_gets_no_grad():
     x = Tensor([[1.0]], requires_grad=True)
     with T.no_grad():
-        frozen = T.scale(x, 1.0)
+        frozen = ops.scale(x, 1.0)
     out = ops.sum_all(ops.hadamard(frozen, frozen))
     assert out.requires_grad is False
     assert frozen.grad is None
@@ -733,9 +733,9 @@ def test_no_grad_nests_and_restores_on_exception():
         with T.no_grad():
             with T.no_grad():
                 pass
-            assert T.scale(x, 3.0).requires_grad is False
+            assert ops.scale(x, 3.0).requires_grad is False
             raise RuntimeError("inside")
-    out = T.scale(x, 3.0)
+    out = ops.scale(x, 3.0)
     assert out.requires_grad is True
     out.backward()
     assert x.grad[0, 0] == 3.0
@@ -757,7 +757,7 @@ def test_gradient_exactness_sweep():
     cases.append((lambda: ops.sum_all(ops.matmul(w, x)), [w, x]))
     v = rand(5, 1, rng)
     p = Tensor(rng.uniform(-1, 1, (5, 1)))
-    cases.append((lambda: ops.sum_all(ops.hadamard(T.softmax(v), p)), [v]))
+    cases.append((lambda: ops.sum_all(ops.hadamard(ops.softmax(v), p)), [v]))
     cases.append((lambda: ops.sum_all(ops.broadcast_repeat(ops.mean_cols(x), 4)), [x]))
     for f, params in cases:
         assert T.grad_check(f, params) < 1e-6
@@ -769,7 +769,7 @@ def test_gradient_exactness_sweep():
 def test_nll_from_logits_matches_direct_form():
     rng = np.random.default_rng(37)
     z = Tensor(rng.uniform(-3, 3, (4, 1)))
-    p = T.softmax(z).data
+    p = ops.softmax(z).data
     for gold in range(4):
         direct = -math.log(p[gold, 0])
         assert abs(T.nll_from_logits(z, gold).item() - direct) < 1e-12
@@ -779,7 +779,7 @@ def test_nll_gradient_is_softmax_minus_onehot():
     rng = np.random.default_rng(41)
     z = rand(3, 1, rng)
     T.nll_from_logits(z, 1).backward()
-    p = T.softmax(Tensor(z.data)).data
+    p = ops.softmax(Tensor(z.data)).data
     p[1, 0] -= 1.0
     assert np.max(np.abs(z.grad - p)) < 1e-12
 
@@ -791,7 +791,7 @@ def test_nll_target_out_of_range():
 
 def test_scale_doubles_value_and_gradient():
     x = Tensor([[1.0], [2.0]], requires_grad=True)
-    T.scale(ops.sum_all(ops.hadamard(x, x)), 2.0).backward()
+    ops.scale(ops.sum_all(ops.hadamard(x, x)), 2.0).backward()
     doubled = x.grad.copy()
     x.zero_grad()
     ops.sum_all(ops.hadamard(x, x)).backward()

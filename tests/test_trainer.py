@@ -313,7 +313,7 @@ class TestInPlaceGradients:
     operations return their products to ``Tensor.backward`` instead
     (``claim_runs`` patched to refuse), the copy-or-add path."""
 
-    HAND_SET = ("enc2.backward.W_o", "level1.arg1.w_s", "classifier.b_p")
+    HAND_SET = ("enc2.backward.W", "level1.arg1.w_s", "classifier.b_p")
 
     def gradients(self, case, by_hand):
         model, ds = tiny_setup(seed=6, k=2)
@@ -563,7 +563,7 @@ class TestTrainStep:
             train_step(model, inst, 0, 1.0, opt_net, opt_emb, None)
         np.testing.assert_array_equal(emb.data, before)
 
-    @pytest.mark.parametrize("name", ["enc2.backward.b_f", "level1.arg1.w_b", "classifier.w_p"])
+    @pytest.mark.parametrize("name", ["enc2.backward.b", "level1.arg1.w_b", "classifier.w_p"])
     def test_nan_in_network_gradient_names_the_row(self, monkeypatch, name):
         model, ds = tiny_setup()
         target = dict(zip((spec.name for spec in model.table), model.parameters()))[name]
