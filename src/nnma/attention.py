@@ -13,7 +13,10 @@ Level k's weights are the ``levelk`` group of ``model.parameter_table``:
 the memory update ``w_m``, and per argument (``arg1``, ``arg2``) ``w_a``
 (2d x 2d) on the words, ``w_b`` (2d x d_m) on the memory and the scorer
 ``w_s`` (1 x 2d); d is the encoder hidden size per direction, so word
-encodings have 2d rows, and d_m is the memory size.
+encodings have 2d rows, and d_m is the memory size. A pass scores words
+by o = tanh(W_a h + W_b (M ⊗ e_L)). Since W_b (M ⊗ e_L) = (W_b M) ⊗ e_L,
+W_b M is computed once per instance (2d x B) and repeated across that
+instance's words, not multiplied once per word.
 
 The stack reads a batch of B instances at once, in the segment layout
 of ``tensor.segments``: an encoding holds every instance's words side
@@ -126,18 +129,17 @@ def _check_shapes(two_d: int, d_m: int, params: Sequence[ParamGroup]) -> None:
 
 def _read(H: np.ndarray, bounds: list[tuple[int, int]], sizes: list[int],
           M: np.ndarray, q: ParamGroup):
-    """One argument's pass: o = tanh(W_a H + W_b (M repeated across each
+    """One argument's pass: o = tanh(W_a H + (W_b M repeated across each
     instance's columns)), each instance's softmax of its scores W_s o,
-    and its read-out H a. Returns (repeated M, o, a, R)."""
-    rep = np.repeat(M, sizes, axis=1)
-    o = np.tanh(q.w_a.data @ H + q.w_b.data @ rep)
+    and its read-out H a. Returns (o, a, R)."""
+    o = np.tanh(q.w_a.data @ H + np.repeat(q.w_b.data @ M, sizes, axis=1))
     row = (q.w_s.data @ o)[0]
     parts = []
     for s, t in bounds:
         e = np.exp(row[s:t] - row[s:t].max())
         parts.append(e / e.sum())
     a = _join(parts, 0).reshape(-1, 1)
-    return rep, o, a, _join([H[:, s:t] @ a[s:t] for s, t in bounds], 1)
+    return o, a, _join([H[:, s:t] @ a[s:t] for s, t in bounds], 1)
 
 
 def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
@@ -155,7 +157,10 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     M_k = tanh(W_m [R1; R2; R1 - R2; M_{k-1}]). No bias terms. Every
     instance reads only its own segment, so its distributions and
     representations are those it would get alone, up to the rounding of
-    the products the batch shares (W_a h, W_b M).
+    the products the batch shares (W_a h, W_b M). W_b M is one column
+    per instance, repeated across its words; that rounds differently
+    from multiplying W_b by the memory repeated per word, which computes
+    the same function.
 
     All K levels are one recorded operation whose result is ``final``;
     its backward pass takes the products in the order and operand layout
@@ -188,16 +193,16 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
          for X, b in zip(H, bounds)]
     general = GeneralRepr(_value(R[0]), _value(R[1]))
     levels: list[LevelOutput] = []
-    saved = []  # per level: memory input, memory, each side's (rep, o, a)
+    saved = []  # per level: memory input, memory, each side's (o, a)
     M = None
     for p in params:
         S = np.concatenate([R[0], R[1], R[0] - R[1]] + ([] if M is None else [M]))
         M = np.tanh(p.w_m.data @ S)
         reads = [_read(X, b, z, M, q) for X, b, z, q in zip(H, bounds, sizes, (p.arg1, p.arg2))]
-        (_, _, a1, r1), (_, _, a2, r2) = reads
+        (_, a1, r1), (_, a2, r2) = reads
         levels.append(LevelOutput(_value(M), _value(a1), _value(a2), _value(r1), _value(r2)))
         if record:
-            saved.append((S, M, [read[:3] for read in reads]))
+            saved.append((S, M, [read[:2] for read in reads]))
         R = [r1, r2]
 
     # The per-product graph's reverse sweep went from level K down: each
@@ -205,7 +210,7 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     # update. Each shared adjoint is summed in that order, from its first
     # contribution: h gets the read-out's, then W_a h's, level by level
     # from the top, and the pass-0 mean's last; M_k gets level k+1's memory
-    # input's, then each side's repeat's; R gets the next memory input's
+    # input's, then each side's W_b M's; R gets the next memory input's
     # (the classifier's at the top), then the difference R1 - R2's.
     def vjp(g: np.ndarray):
         claimed = claim_runs(tensors)
@@ -220,24 +225,23 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
         for k in range(len(params) - 1, -1, -1):
             S, M, reads = saved[k]
             p = params[k]
-            repeats, weights = [], []
+            dM_reads, weights = [], []
             for side, q in enumerate((p.arg1, p.arg2)):
                 X, b = H[side], bounds[side]
-                rep, o, a = reads[side]
+                o, a = reads[side]
                 cols = [dR[side][:, j:j + 1] for j in range(len(b))]
                 d_read = _join([gj @ a[s:t].T for gj, (s, t) in zip(cols, b)], 1)
                 da = _join([X[:, s:t].T @ gj for gj, (s, t) in zip(cols, b)], 0)
                 dscore = _join([a[s:t] * (da[s:t] - np.vdot(da[s:t], a[s:t]))
                                 for s, t in b], 0).reshape(1, -1)
                 dpre = (q.w_s.data.T @ dscore) * (1.0 - o * o)
-                drep = q.w_b.data.T @ dpre
-                repeats.append(_join([drep[:, s:t].sum(axis=1, keepdims=True)
-                                      for s, t in b], 1))
+                dsum = _join([dpre[:, s:t].sum(axis=1, keepdims=True) for s, t in b], 1)
+                dM_reads.append(q.w_b.data.T @ dsum)
                 d_read = d_read if dH[side] is None else dH[side] + d_read
                 dH[side] = d_read + q.w_a.data.T @ dpre
-                weights += [product(dpre, X.T, q.w_a), product(dpre, rep.T, q.w_b),
+                weights += [product(dpre, X.T, q.w_a), product(dsum, M.T, q.w_b),
                             product(dscore, o.T, q.w_s)]
-            dM = repeats[0] + repeats[1] if dM is None else dM + repeats[0] + repeats[1]
+            dM = dM_reads[0] + dM_reads[1] if dM is None else dM + dM_reads[0] + dM_reads[1]
             dZ = dM * (1.0 - M * M)
             grads[k] = [product(dZ, S.T, p.w_m)] + weights
             dS = p.w_m.data.T @ dZ

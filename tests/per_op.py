@@ -301,9 +301,20 @@ def memory_next(r1_prev: Tensor, r2_prev: Tensor, m_prev: Tensor,
 def attend(h: Tensor, M: Tensor, p: ParamGroup,
            lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
     """Memory-conditioned attention over one argument: o = tanh(W_a h +
-    W_b (M repeated across each instance's L columns)); a = softmax of
+    (W_b M repeated across each instance's L columns)); a = softmax of
     each instance's scores W_s o, as one column; R = h a per instance.
     Returns (a, R)."""
+    sizes = segments(h.cols, lengths)
+    o = tanh(add(matmul(p.w_a, h), broadcast_repeat(matmul(p.w_b, M), sizes)))
+    a = segment_softmax(matmul(p.w_s, o), sizes)
+    return a, segment_matvec(h, a, sizes)
+
+
+def attend_repeated(h: Tensor, M: Tensor, p: ParamGroup,
+                    lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+    """``attend`` with W_b applied to M repeated across each instance's
+    columns, W_b (M outer ones): the same function, one product per word.
+    Kept as the reference the per-instance product must stay close to."""
     sizes = segments(h.cols, lengths)
     o = tanh(add(matmul(p.w_a, h), matmul(p.w_b, broadcast_repeat(M, sizes))))
     a = segment_softmax(matmul(p.w_s, o), sizes)
@@ -312,8 +323,9 @@ def attend(h: Tensor, M: Tensor, p: ParamGroup,
 
 def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
               lengths1: Sequence[int] | None = None,
-              lengths2: Sequence[int] | None = None) -> AttentionTrace:
-    """All K passes, one recorded node per product. ``final`` is a
+              lengths2: Sequence[int] | None = None, read=attend) -> AttentionTrace:
+    """All K passes, one recorded node per product, each argument's pass
+    by ``read`` (``attend`` or ``attend_repeated``). ``final`` is a
     ``concat`` of the last level's R1 and R2 that the reference head
     does not read."""
     if len(params) == 0:
@@ -327,8 +339,8 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
         else:
             prev = levels[-1]
             M = memory_next(prev.R1, prev.R2, prev.M, p)
-        a1, r1 = attend(h1, M, p.arg1, lengths1)
-        a2, r2 = attend(h2, M, p.arg2, lengths2)
+        a1, r1 = read(h1, M, p.arg1, lengths1)
+        a2, r2 = read(h2, M, p.arg2, lengths2)
         levels.append(LevelOutput(M, a1, a2, r1, r2))
     top = levels[-1]
     return AttentionTrace(g, levels, lengths1, lengths2, concat([top.R1, top.R2]))

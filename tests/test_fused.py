@@ -1,6 +1,11 @@
 """The attention stack and the classifier, each one recorded operation,
 against the per-product graph they replaced (``per_op``): every value
-and every gradient byte for byte, one instance or a batch."""
+and every gradient byte for byte, one instance or a batch. The stack's
+W_b M, computed once per instance, is also held close to the graph that
+multiplies W_b by the memory repeated across every word
+(``per_op.attend_repeated``)."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -91,6 +96,32 @@ def test_stack_and_head_are_the_per_op_graph_bytewise(lengths, K, seed, zero_sco
     want = run(per_op.run_stack, per_op.classify, case, lengths1, lengths2)
     assert_same_bytes(got[0], want[0])
     assert_same_bytes(got[1], want[1])
+
+
+def assert_near_repeated_memory_graph(K, lengths1, lengths2, seed):
+    # W_b M once per instance rounds differently from W_b times the
+    # memory repeated per word; both compute the same function.
+    case = setup(K, lengths1, lengths2, seed)
+    got = run(run_stack, fused_head, case, lengths1, lengths2)
+    want = run(partial(per_op.run_stack, read=per_op.attend_repeated), per_op.classify,
+               case, lengths1, lengths2)
+    for g, w in zip(got[0], want[0]):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+    assert len(got[1]) == len(want[1])
+    for g, w in zip(got[1], want[1]):
+        assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("n1, n2", [(1, 40), (40, 1), (1, 1), (7, 12)])
+def test_one_instance_is_near_the_repeated_memory_graph(K, n1, n2):
+    assert_near_repeated_memory_graph(K, [n1], [n2], seed=K * 100 + n1 + n2)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lengths=batches(), K=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 16))
+def test_a_batch_is_near_the_repeated_memory_graph(lengths, K, seed):
+    assert_near_repeated_memory_graph(K, *lengths, seed)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])

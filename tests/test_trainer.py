@@ -482,11 +482,11 @@ class TestCompactMomentum:
         assert len(emb.compact_grad[0]) > 0
 
 
-def golden_training_run(steps=60):
-    """sha256 over the checkpoint bytes, both optimizers' velocities and
-    every ``.grad`` after ``steps`` train steps with dropout, at V 3000.
-    Each argument draws from a small per-instance pool plus a shared word
-    and an unknown one, so words repeat within and across arguments."""
+def golden_training(steps):
+    """A model and both optimizers after ``steps`` train steps with
+    dropout, at V 3000. Each argument draws from a small per-instance
+    pool plus a shared word and an unknown one, so words repeat within
+    and across arguments."""
     rng = Rng(2024)
     vocab = Vocabulary([f"w{i}" for i in range(2999)])
     labels = ["A", "B", "C", "D"]
@@ -504,6 +504,13 @@ def golden_training_run(steps=60):
         mask = dropout_mask(6 * model.d, 0.2, rng)
         train_step(model, inst, model.label_index(inst.label), 1.0,
                    opt_net, opt_emb, mask)
+    return model, opt_net, opt_emb
+
+
+def golden_training_run(steps=60):
+    """sha256 over the checkpoint bytes, both optimizers' velocities and
+    every ``.grad`` after ``golden_training(steps)``."""
+    model, opt_net, opt_emb = golden_training(steps)
     buf = io.BytesIO()
     model.save(buf)
     digest = hashlib.sha256(buf.getvalue())
@@ -516,11 +523,31 @@ def golden_training_run(steps=60):
 
 class TestTrainStep:
     def test_golden_training_hash(self):
-        # Pinned from the dense embedding gradient and dense momentum
-        # update that the compact column gradient replaced: training must
-        # stay bit-identical, checkpoint, velocities and gradients alike.
+        # Pins the bits of today's training, checkpoint, velocities and
+        # gradients alike: the compact column gradient and the blocked
+        # momentum sweep, with each attention read's W_b M computed once
+        # per instance. The next test holds that product close to the
+        # per-word one it replaced.
         assert golden_training_run() == (
-            "0ac1917be7e0273dfdf0fdd01a5b2646a7aecd43bb28221a569c1c812d39c031")
+            "eaf8530af348b3c6f2ea22797e8777a98adb1e8b7148a5a72d6b67a2e965068d")
+
+    def test_training_stays_near_the_repeated_memory_graph(self, monkeypatch):
+        # 300 steps with W_b M once per instance against the same steps
+        # through the per-product graph that multiplies W_b by the memory
+        # repeated across every word: both parameter buffers agree within
+        # 1e-13 of their largest entry.
+        got = [b.copy() for b in golden_training(300)[0].buffers()]
+        stacks = []
+
+        def repeated(*args, **kwargs):
+            stacks.append(args)
+            return per_op.run_stack(*args, **kwargs, read=per_op.attend_repeated)
+
+        monkeypatch.setattr(model_module, "run_stack", repeated)
+        want = golden_training(300)[0].buffers()
+        assert len(stacks) == 300 and len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_only_leaves_keep_a_gradient(self, monkeypatch):
         model, ds = tiny_setup()
