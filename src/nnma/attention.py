@@ -76,31 +76,16 @@ class AttentionTrace:
     whose arguments have ``lengths1`` and ``lengths2`` words. ``final``
     is [R1; R2] of the last level (4d x B), the result of the recorded
     operation and the only field a backward pass reaches; the other
-    fields are plain values."""
+    fields are plain values. Instance b owns column b of every
+    representation and memory and the b-th run of ``tensor.spans`` rows
+    of each distribution; a one-instance pass (B = 1) is what a heatmap
+    draws."""
 
     general: GeneralRepr
     levels: list[LevelOutput]
     lengths1: list[int]
     lengths2: list[int]
     final: Tensor
-
-    def split(self) -> list["AttentionTrace"]:
-        """One trace per instance, in batch order: its column of every
-        representation and memory and its rows of every distribution, as
-        plain tensors outside any recorded graph."""
-        out = []
-        rows = zip(spans(self.lengths1), spans(self.lengths2))
-        for b, ((s1, t1), (s2, t2)) in enumerate(rows):
-            def col(t: Tensor) -> Tensor:
-                return Tensor(t.data[:, b])
-
-            levels = [LevelOutput(col(lv.M), Tensor(lv.a1.data[s1:t1]),
-                                  Tensor(lv.a2.data[s2:t2]), col(lv.R1), col(lv.R2))
-                      for lv in self.levels]
-            out.append(AttentionTrace(GeneralRepr(col(self.general.R0_1),
-                                                  col(self.general.R0_2)),
-                                      levels, [t1 - s1], [t2 - s2], col(self.final)))
-        return out
 
 
 def _join(parts: list[np.ndarray], axis: int) -> np.ndarray:

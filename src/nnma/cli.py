@@ -49,15 +49,15 @@ from .corpus import (
 from .embeddings import Vocabulary, load_pretrained
 from .metrics import (
     KlReportError,
+    attention_kl_report,
     evaluate,
     heatmap_csv,
     heatmap_ppm,
-    kl_report,
     render_kl_report,
 )
 from .model import CheckpointError, NnmaModel
 from .rng import Rng
-from .tensor import grad_check
+from .tensor import grad_check, no_grad
 from .trainer import Hyperparams, TrainingDiverged, fit, reweight
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -288,7 +288,7 @@ def cmd_eval(args) -> int:
     text = render_eval_report(task, result, len(ds))
     sys.stdout.write(text)
     out = Path(args.out) if args.out else Path(args.model).parent / "eval_report.txt"
-    out.write_text(text)
+    write_atomic(out, lambda path: path.write_text(text))
     return 0
 
 
@@ -312,37 +312,29 @@ def cmd_analyze(args) -> int:
             raise ConfigError(f"instance id {idx} out of range "
                               f"(dataset has {len(ds)} instances)")
 
-    # One batched pass serves the KL report and the heatmaps: the report
-    # reads every chunk whole, and only chunks holding a requested id are
-    # split into per-instance traces.
-    needed = range(len(ds)) if model.k >= 2 else ids
-    wanted = set(ids)
-    traces = {}
-
-    def chunks():
-        for positions, prediction in model.forward_chunks([ds.instances[i] for i in needed]):
-            if wanted.intersection(needed[j] for j in positions):
-                for j, trace in zip(positions, prediction.trace.split()):
-                    if needed[j] in wanted:
-                        traces[needed[j]] = trace
-            yield positions, prediction.trace
-
     if model.k >= 2:
-        text = render_kl_report(kl_report(chunks(), flipped=args.flip_kl))
+        text = render_kl_report(attention_kl_report(model, ds, flipped=args.flip_kl))
     else:
-        for _ in chunks():  # the heatmaps still need the pass
-            pass
         text = ("# KL report unavailable: it compares attention levels and "
                 "this model has a single level\n")
     sys.stdout.write(text)
-    (out_dir / "kl_report.txt").write_text(text)
+    write_atomic(out_dir / "kl_report.txt", lambda path: path.write_text(text))
 
     for idx in ids:
-        inst, trace = ds.instances[idx], traces[idx]
-        with open(out_dir / f"heatmap_{idx}.csv", "w", encoding="utf-8") as fh:
-            heatmap_csv(trace, inst.arg1, inst.arg2, fh)
-        with open(out_dir / f"heatmap_{idx}.ppm", "wb") as fh:
-            heatmap_ppm(trace, inst.arg1, inst.arg2, fh)
+        inst = ds.instances[idx]
+        with no_grad():
+            trace = model.forward(inst).trace
+
+        def write_csv(path: Path) -> None:
+            with open(path, "w", encoding="utf-8") as fh:
+                heatmap_csv(trace, inst.arg1, inst.arg2, fh)
+
+        def write_ppm(path: Path) -> None:
+            with open(path, "wb") as fh:
+                heatmap_ppm(trace, inst.arg1, inst.arg2, fh)
+
+        write_atomic(out_dir / f"heatmap_{idx}.csv", write_csv)
+        write_atomic(out_dir / f"heatmap_{idx}.ppm", write_ppm)
     print(f"wrote kl_report.txt and {len(ids)} heatmap pairs to {out_dir}")
     return 0
 
@@ -364,8 +356,10 @@ def parse_dims(text: str | None) -> dict[str, int]:
             dims[key] = int(value)
         except ValueError:
             raise ConfigError(f"--dims value for {key} is not an integer") from None
-        if dims[key] < 1:
-            raise ConfigError(f"--dims {key} must be >= 1")
+        # The vocabulary's one unknown-word slot leaves vocab - 1 words to draw.
+        least = 2 if key == "vocab" else 1
+        if dims[key] < least:
+            raise ConfigError(f"--dims {key} must be >= {least}")
     return dims
 
 

@@ -1,6 +1,7 @@
 """Batched forward passes (``NnmaModel.forward_batch``/``forward_chunks``)
 against one instance at a time, and the structure of forward-only work."""
 
+import io
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from nnma import model as model_module
 from nnma.cli import main
 from nnma.corpus import Dataset, Instance, write_tsv
 from nnma.embeddings import Vocabulary
-from nnma.metrics import attention_kl_report, evaluate
+from nnma.metrics import attention_kl_report, evaluate, heatmap_csv, heatmap_ppm
 from nnma.model import CHUNK, NnmaModel
 from nnma.recurrent import encode_pair
 from nnma.rng import Rng
@@ -71,16 +72,18 @@ def test_batched_equals_one_at_a_time(pairs, k, seed):
     for positions, prediction in model.forward_chunks(instances):
         assert 1 <= len(positions) <= CHUNK
         assert prediction.probabilities.shape == (len(LABELS), len(positions))
-        for j, (i, trace) in enumerate(zip(positions, prediction.trace.split())):
+        trace = prediction.trace
+        assert len(trace.levels) == k
+        cuts = zip(positions, spans(trace.lengths1), spans(trace.lengths2))
+        for j, (i, (s1, t1), (s2, t2)) in enumerate(cuts):
             ref = alone[i]
             np.testing.assert_allclose(prediction.probabilities.data[:, j:j + 1],
                                        ref.probabilities.data, rtol=0, atol=1e-12)
             assert prediction.predicted[j] == ref.predicted[0]
-            assert len(trace.levels) == k
             for got, want in zip(trace.levels, ref.trace.levels):
-                assert got.a1.shape == want.a1.shape and got.a2.shape == want.a2.shape
-                np.testing.assert_allclose(got.a1.data, want.a1.data, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(got.a2.data, want.a2.data, rtol=0, atol=1e-12)
+                assert (t1 - s1, t2 - s2) == (want.a1.rows, want.a2.rows)
+                np.testing.assert_allclose(got.a1.data[s1:t1], want.a1.data, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.a2.data[s2:t2], want.a2.data, rtol=0, atol=1e-12)
         seen += positions
     assert sorted(seen) == list(range(len(instances)))
 
@@ -108,15 +111,16 @@ def test_one_word_arguments_in_a_chunk_of_long_ones():
     model = make_model(2, seed=3)
     instances = make_instances([(1, 40), (40, 1), (40, 40), (1, 1), (39, 2)], seed=3)
     (positions, prediction), = model.forward_chunks(instances)
-    traces = prediction.trace.split()
-    for j, i in enumerate(positions):
+    trace = prediction.trace
+    cuts = zip(positions, spans(trace.lengths1), spans(trace.lengths2))
+    for j, (i, (s1, t1), (s2, t2)) in enumerate(cuts):
         with no_grad():
             ref = model.forward(instances[i])
         np.testing.assert_allclose(prediction.probabilities.data[:, j:j + 1],
                                    ref.probabilities.data, rtol=0, atol=1e-12)
-        for got, want in zip(traces[j].levels, ref.trace.levels):
-            np.testing.assert_allclose(got.a1.data, want.a1.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.a2.data, want.a2.data, rtol=0, atol=1e-12)
+        for got, want in zip(trace.levels, ref.trace.levels):
+            np.testing.assert_allclose(got.a1.data[s1:t1], want.a1.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.a2.data[s2:t2], want.a2.data, rtol=0, atol=1e-12)
 
 
 def test_batch_gradient_is_the_sum_of_instance_gradients():
@@ -248,29 +252,49 @@ def test_analyze_records_one_encoder_op_per_chunk(encoder_ops, tmp_path):
     assert main(["analyze", "--model", str(tmp_path / "model.ckpt"),
                  "--data", str(tmp_path / "data.tsv"), "--ids", f"0,5,{N - 1}",
                  "--out", str(tmp_path / "out")]) == 0
-    assert len(encoder_ops) == math.ceil(N / CHUNK)
+    # One per chunk for the KL report, and one per requested heatmap.
+    assert len(encoder_ops) == math.ceil(N / CHUNK) + 3
     assert (tmp_path / "out" / f"heatmap_{N - 1}.csv").is_file()
+
+
+def analyze(model, instances, ids, tmp_path, name):
+    """Runs ``nnma analyze`` on ``model`` and ``instances`` written as
+    a TSV, for the heatmaps of ``ids``; returns the output directory."""
+    model.save(tmp_path / "model.ckpt")
+    with open(tmp_path / f"{name}.tsv", "w", encoding="utf-8") as fh:
+        write_tsv(Dataset(instances), fh)
+    out = tmp_path / name
+    assert main(["analyze", "--model", str(tmp_path / "model.ckpt"),
+                 "--data", str(tmp_path / f"{name}.tsv"),
+                 "--ids", ",".join(map(str, ids)), "--out", str(out)]) == 0
+    return out
 
 
 def test_analyze_heatmaps_match_one_at_a_time(tmp_path):
     model = make_model(2, seed=11)
     ds = large_dataset()
-    model.save(tmp_path / "model.ckpt")
-    with open(tmp_path / "data.tsv", "w", encoding="utf-8") as fh:
-        write_tsv(ds, fh)
-    assert main(["analyze", "--model", str(tmp_path / "model.ckpt"),
-                 "--data", str(tmp_path / "data.tsv"), "--ids", f"3,{N - 4}",
-                 "--out", str(tmp_path / "out")]) == 0
+    out = analyze(model, ds.instances, [3, N - 4], tmp_path, "out")
     for idx in (3, N - 4):
         inst = ds.instances[idx]
         with no_grad():
-            levels = model.forward(inst).trace.levels
-        rows = (tmp_path / "out" / f"heatmap_{idx}.csv").read_text().splitlines()
-        want = [lv.a1 if name == "arg1" else lv.a2 for lv in levels for name in ("arg1", "arg2")]
-        assert len(rows) == len(want)
-        for row, a in zip(rows, want):
-            weights = [float(cell.rsplit(":", 1)[1]) for cell in row.split(",")[2:]]
-            np.testing.assert_allclose(weights, a.data.reshape(-1), rtol=0, atol=1e-12)
+            trace = model.forward(inst).trace
+        csv, ppm = io.StringIO(), io.BytesIO()
+        heatmap_csv(trace, inst.arg1, inst.arg2, csv)
+        heatmap_ppm(trace, inst.arg1, inst.arg2, ppm)
+        assert (out / f"heatmap_{idx}.csv").read_text(encoding="utf-8") == csv.getvalue()
+        assert (out / f"heatmap_{idx}.ppm").read_bytes() == ppm.getvalue()
+
+
+def test_analyze_heatmap_does_not_depend_on_the_rest_of_the_file(tmp_path):
+    # Neighbours in a chunk change how batched products round; a heatmap
+    # comes from the instance's own forward pass, so they do not reach it.
+    model = make_model(3, seed=12)
+    ds = large_dataset()
+    whole = analyze(model, ds.instances, range(N), tmp_path, "whole")
+    for idx in range(N):
+        alone = analyze(model, [ds.instances[idx]], [0], tmp_path, f"alone{idx}")
+        assert ((whole / f"heatmap_{idx}.csv").read_bytes()
+                == (alone / "heatmap_0.csv").read_bytes())
 
 
 # -- no recorded result aliases another tensor ----------------------------------

@@ -36,7 +36,7 @@ from nnma.cli import (
     parse_dims,
 )
 import nnma
-from nnma import attention, recurrent
+from nnma import attention, cli, recurrent
 from nnma import model as model_module
 from nnma.corpus import parse_tsv
 from nnma.model import NnmaModel
@@ -539,6 +539,20 @@ class TestAnalyze:
         rows = (out_dir / "heatmap_0.csv").read_text().splitlines()
         assert len(rows) == 2 * 2  # levels x arguments
 
+    def test_interrupted_heatmap_leaves_no_file(self, workspace, tmp_path, capsys,
+                                                monkeypatch):
+        def failing(trace, arg1, arg2, sink):
+            sink.write("1,arg1,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "heatmap_csv", failing)
+        out_dir = tmp_path / "analysis"
+        assert main(["analyze", "--model", str(workspace / "out" / "model.ckpt"),
+                     "--data", str(workspace / "data" / "test.tsv"),
+                     "--ids", "0", "--out", str(out_dir)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["kl_report.txt"]
+
 
 def with_bad_byte(src, dst, line):
     """A copy of ``src`` with a 0xff byte, never valid UTF-8, at the start
@@ -648,6 +662,11 @@ class TestGradcheck:
     def test_zero_dim_exits_2(self, capsys):
         assert main(["gradcheck", "--dims", "d=0"]) == 2
         assert ">= 1" in capsys.readouterr().err
+
+    def test_vocab_without_a_word_exits_2(self, capsys):
+        # vocab counts the unknown-word slot: vocab=1 leaves no word to draw.
+        assert main(["gradcheck", "--dims", "vocab=1"]) == 2
+        assert "--dims vocab must be >= 2" in capsys.readouterr().err
 
     def test_parse_dims_defaults(self):
         assert parse_dims(None) == {"d": 3, "d_m": 4, "d_e": 3, "k": 3,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nnma.attention import AttentionTrace, LevelOutput
 from nnma.corpus import Dataset, Instance
 from nnma.embeddings import Vocabulary
 from nnma.metrics import (
@@ -21,7 +22,7 @@ from nnma.metrics import (
 )
 from nnma.model import NnmaModel
 from nnma.rng import Rng
-from nnma.tensor import no_grad, spans
+from nnma.tensor import Tensor, no_grad, spans
 from nnma.trainer import MomentumSgd, train_step
 
 LABELS = ["Comparison", "Contingency", "Expansion", "Temporal"]
@@ -39,12 +40,25 @@ def chunk_traces(model, instances):
             for positions, prediction in model.forward_chunks(instances)]
 
 
+def lone_traces(chunks):
+    """Each instance of the chunks as a one-instance trace, keyed by its
+    dataset position: its rows of every level's distributions, cut from
+    its chunk's trace by ``tensor.spans``. Only the distributions are
+    kept; they are all ``kl_report`` reads."""
+    lone = {}
+    for positions, trace in chunks:
+        for i, (s1, t1), (s2, t2) in zip(positions, spans(trace.lengths1),
+                                         spans(trace.lengths2)):
+            levels = [LevelOutput(None, Tensor(lv.a1.data[s1:t1]), Tensor(lv.a2.data[s2:t2]),
+                                  None, None) for lv in trace.levels]
+            lone[i] = AttentionTrace(None, levels, [t1 - s1], [t2 - s2], None)
+    return lone
+
+
 def oracle_report(chunks, k, flipped):
     """Per side, each pair's and level's ``kl_divergence`` summed over
     the chunks' instances in dataset order, then averaged."""
-    lone = {}
-    for positions, trace in chunks:
-        lone.update(zip(positions, trace.split()))
+    lone = lone_traces(chunks)
     sides = []
     for side_name in ("a1", "a2"):
         pairs = {(i, j): 0.0 for i in range(1, k + 1) for j in range(i + 1, k + 1)}
@@ -344,8 +358,7 @@ class TestChunkedKlReport:
         # cut into lone traces and given in reverse give the same bits.
         model = tiny_model(seed=44, k=3)
         chunks = chunk_traces(model, self.instances())
-        lone = [([i], one) for positions, trace in chunks
-                for i, one in zip(positions, trace.split())]
+        lone = [([i], one) for i, one in lone_traces(chunks).items()]
         assert (render_kl_report(kl_report(chunks, flipped))
                 == render_kl_report(kl_report(lone[::-1], flipped)))
 
