@@ -414,8 +414,11 @@ def cmd_synth(args) -> int:
         "test": Dataset(ds.instances[n_train + n_dev:], "test"),
     }
     for name, split in splits.items():
-        with open(out_dir / f"{name}.tsv", "w", encoding="utf-8") as fh:
-            write_tsv(split, fh)
+        def write(path: Path) -> None:
+            with open(path, "w", encoding="utf-8") as fh:
+                write_tsv(split, fh)
+
+        write_atomic(out_dir / f"{name}.tsv", write)
         print(f"{name}.tsv {len(split)} instances")
     return 0
 

@@ -26,7 +26,9 @@ from .tensor import Tensor, select_columns
 UNKNOWN_TOKEN = "<unk>"
 INIT_SCALE = 0.05
 # ``EmbeddingMatrix.random`` draws in a few large blocks: each block costs
-# about one pass of the generator's lanes (5-8 ms) whatever its size.
+# one pass of the generator's lanes (about 5 ms) plus its words, about
+# 10 ms for a quarter of the paper-shape matrix. ``NnmaModel.create``
+# then draws all network weights in one more lane draw.
 DRAW_BLOCKS = 4
 DRAW_BLOCK_WORDS = 1 << 15
 
@@ -75,9 +77,9 @@ class Vocabulary:
         if not tokens or tokens[0] != UNKNOWN_TOKEN:
             raise ValueError(f"token list must start with {UNKNOWN_TOKEN!r}")
         vocab = cls()
-        for tok in tokens[1:]:
-            vocab.add(tok)
-        if len(vocab) != len(tokens):
+        vocab._tokens = list(tokens)
+        vocab._index = dict(zip(vocab._tokens, range(len(tokens))))
+        if len(vocab._index) != len(tokens):
             raise ValueError("token list contains duplicates")
         return vocab
 

@@ -42,9 +42,10 @@ The parameters live in two buffers, one per optimizer group
 (``buffers``): the embedding matrix, and every other row laid out in
 table order as one flat array (``tensor.FlatParams``), each tensor a
 view of it at the running sum of the sizes before it. ``create`` draws
-each row straight into its view, the checkpoint payload is the two
-buffers written in order, and ``load`` reads each back in one call;
-no second copy of a group is made.
+the network's weights as one run of unit draws and maps each row's
+part into its view (one draw instead of one per row); the
+checkpoint payload is the two buffers written in order, and ``load``
+reads each back in one call, with no second copy of a group.
 """
 
 from __future__ import annotations
@@ -116,22 +117,24 @@ def parameter_table(d_e: int, d: int, d_m: int, k: int, n: int,
     yield ParamSpec("classifier.b_p", (n, 1), "zeros")
 
 
-def draw(spec: ParamSpec, rng: Rng, out: np.ndarray) -> None:
-    """Fill ``out``, a C-contiguous array of the row's shape, for a
-    ``xavier`` row (uniform(-r, r), r = sqrt(6 / (fan_in + fan_out)) with
-    fan_in = cols and fan_out = rows), a ``gates`` row (the same with
-    fan_out = rows / 4, each gate's own; one draw in row order reads the
-    words the four gate matrices would, one after the other) or a
-    ``zeros`` row; only the zeros row leaves the generator alone."""
+def draw(spec: ParamSpec, units: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, a C-contiguous array of a ``xavier`` or ``gates``
+    row's shape, from ``units``, the row's run of unit draws
+    (``uniform_matrix(..., 0.0, 1.0)``): uniform(-r, r) with r =
+    sqrt(6 / (fan_in + fan_out)), fan_in = cols and fan_out = rows, or
+    rows / 4 for ``gates``, each gate's own. The mapping ``u * (hi - lo)
+    + lo`` is the one ``uniform_matrix(rows, cols, -r, r)`` applies, so
+    the values are the bits of a draw of the row alone; one draw in row
+    order reads the words the four gate matrices would, one after the
+    other."""
     rows, cols = spec.shape
-    if spec.init in ("xavier", "gates"):
-        fan_out = rows // 4 if spec.init == "gates" else rows
-        r = math.sqrt(6.0 / (fan_out + cols))
-        rng.uniform_matrix(rows, cols, -r, r, out=out)
-    elif spec.init == "zeros":
-        out.fill(0.0)
-    else:
+    if spec.init not in ("xavier", "gates"):
         raise ValueError(f"{spec.name}: no draw for init {spec.init!r}")
+    fan_out = rows // 4 if spec.init == "gates" else rows
+    r = math.sqrt(6.0 / (fan_out + cols))
+    lo, hi = -r, r
+    np.multiply(units, hi - lo, out=out)
+    out += lo
 
 
 def classify(final: Tensor, w_p: Tensor, b_p: Tensor,
@@ -217,15 +220,21 @@ class NnmaModel:
                d: int, d_m: int, k: int, rng: Rng,
                embeddings: EmbeddingMatrix | None = None) -> "NnmaModel":
         """Fresh model, drawn in the parameter table's order: the embedding
-        matrix (unless given), then every xavier row straight into its
-        view of the network buffer; the zeros rows (biases) stay zero."""
+        matrix (unless given), then every xavier and gates row of the
+        network in one unit draw, each row's run mapped by ``draw`` into
+        its view of the network buffer; the zeros rows (biases) stay
+        zero. The values and the generator's state afterwards are those
+        of one draw per row, in table order."""
         if embeddings is None:
             embeddings = EmbeddingMatrix.random(vocab, d_e, rng)
         table = list(parameter_table(d_e, d, d_m, k, len(label_names), len(vocab)))
         network = np.zeros(sum(math.prod(spec.shape) for spec in table[1:]))
         model = cls(vocab, label_names, d_e, d, d_m, k, embeddings.weights, network)
-        for spec, p in zip(model.table[1:], model.network_parameters()):
-            draw(spec, rng, p.data)
+        drawn = [(spec, p.data) for spec, p in zip(model.table[1:], model.network_parameters())
+                 if spec.init != "zeros"]
+        units = rng.uniform_matrix(1, sum(out.size for _, out in drawn), 0.0, 1.0)
+        for (spec, out), run in zip(drawn, runs(units[0], [spec.shape for spec, _ in drawn])):
+            draw(spec, run, out)
         return model
 
     @property

@@ -14,8 +14,10 @@ transition of xoshiro256** is linear over GF(2), so n steps are one
 256 x 256 bit matrix T^n, and T^(2^j) follows from T by j squarings
 (Haramoto et al., "Efficient Jump Ahead for F2-Linear Random Number
 Generators", 2008). Lane i starts 512 i words into the draw, and numpy
-steps all lanes together. Each entry and the state after the draw are
-exactly those of the one-word-at-a-time sequence; only the speed differs.
+steps all lanes together. A jump is a float32 bit-matrix product whose
+parity is taken as an integer. Each entry and the state after the draw
+are exactly those of the one-word-at-a-time sequence; only the speed
+differs.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _CHUNK = 4096  # words per block in the scalar loop, bounding its Python-int list
 # Draws of at least _LANE_MIN_WORDS words run on lanes. A lane draw costs
-# about 5-8 ms however few lanes it has (one numpy step per stride word),
-# plus the jump matrices on a process's first lane draw; the scalar loop
-# costs about 0.6-1 us a word. At the paper shape the embedding matrix is
-# drawn first and builds the jumps, and its 10k-20k-word attention weights
-# take lanes after it. Dropout masks and overfit-shape weights stay below.
+# about 5 ms however few lanes it has (one numpy step per stride word),
+# plus about 10 ms for the jump matrices on a process's first lane draw;
+# the scalar loop costs about 0.6-1 us a word. ``NnmaModel.create`` draws
+# all network weights in one call, which takes lanes at the overfit shape
+# too (32,768 words) and at the paper shape follows the embedding
+# matrix's blocks; dropout masks stay below.
 _LANE_MIN_WORDS = 1 << 13
 _LANE_STRIDE_LOG2 = 9
 _LANE_STRIDE = 1 << _LANE_STRIDE_LOG2  # consecutive words drawn by one lane
@@ -95,15 +98,19 @@ def _bits(states: np.ndarray) -> np.ndarray:
 
 def _advance(states: np.ndarray, jump: np.ndarray) -> np.ndarray:
     """Each (n, 4) state moved by a packed jump matrix. The GF(2) product
-    is a float32 product taken mod 2; its sums are at most 256, so exact.
-    Rows go _ADVANCE_ROWS at a time, bounding the float32 temporaries."""
-    matrix = _bits(jump)
+    is a float32 product's parity: its sums are integers of at most 256,
+    so exact, and the lowest bit of each as uint16 is the parity (uint8
+    would not hold 256). It takes one output word (64 columns of the
+    matrix) and _ADVANCE_ROWS rows at a time, bounding the float32
+    temporaries."""
     out = np.empty_like(states)
-    for r0 in range(0, len(states), _ADVANCE_ROWS):
-        bits = _bits(states[r0:r0 + _ADVANCE_ROWS]) @ matrix
-        np.remainder(bits, 2, out=bits)
-        packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-        out[r0:r0 + _ADVANCE_ROWS] = packed.view("<u8")
+    for w in range(4):
+        matrix = _bits(jump[:, w:w + 1])
+        for r0 in range(0, len(states), _ADVANCE_ROWS):
+            sums = (_bits(states[r0:r0 + _ADVANCE_ROWS]) @ matrix).astype(np.uint16)
+            sums &= 1
+            packed = np.packbits(sums.astype(np.uint8), axis=1, bitorder="little")
+            out[r0:r0 + _ADVANCE_ROWS, w] = packed.view("<u8")[:, 0]
     return out
 
 
@@ -209,16 +216,20 @@ class Rng:
         its last partial stride with the scalar loop, which starts from
         the state one lane further on.
         """
+        size = rows * cols
+        if out is not None and (out.size != size or out.dtype != np.float64
+                                or not out.flags.c_contiguous):
+            raise ValueError(f"out must be C-contiguous float64 of {size} entries")
+        # Lane starts come before a new ``out`` is allocated, so that the
+        # jumps' temporaries are freed by then.
+        lanes = size // _LANE_STRIDE if size >= _LANE_MIN_WORDS else 0
+        starts = _lane_starts(self._s, lanes + 1) if lanes else None
         if out is None:
             out = np.empty((rows, cols))
-        elif out.size != rows * cols or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be C-contiguous float64 of {rows * cols} entries")
         words = out.reshape(-1)  # a view, since out is C-contiguous
-        if words.size < _LANE_MIN_WORDS:
+        if starts is None:
             self._s[:] = _scalar_words(self._s, words)
         else:
-            lanes = words.size // _LANE_STRIDE
-            starts = _lane_starts(self._s, lanes + 1)
             _lane_words(starts[:lanes], words[:lanes * _LANE_STRIDE].reshape(lanes, _LANE_STRIDE))
             tail = [int(w) for w in starts[lanes]]
             self._s[:] = _scalar_words(tail, words[lanes * _LANE_STRIDE:])

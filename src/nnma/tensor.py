@@ -99,10 +99,6 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros((rows, cols)), requires_grad=requires_grad)
-
-    @staticmethod
     def owning(data: np.ndarray, requires_grad: bool = False) -> "Tensor":
         """A tensor over ``data`` itself, not a copy: a 2-D float64 array
         made for this tensor alone, such as a large matrix drawn in place."""
@@ -324,7 +320,7 @@ class FlatParams:
         if values.ndim != 1 or values.dtype != np.float64 or not values.flags.c_contiguous:
             raise ShapeError("a flat layout needs a 1-D C-contiguous float64 buffer")
         self.values = values
-        self.grads = np.zeros_like(values)
+        self.grads = np.zeros(values.shape)  # pages untouched until a backward pass writes
         self.leaves = [Tensor.owning(run, requires_grad=True) for run in runs(values, shapes)]
         for leaf, view in zip(self.leaves, runs(self.grads, shapes)):
             leaf._grad_view = view

@@ -11,7 +11,7 @@ import numpy as np
 
 from nnma.model import draw, parameter_table
 from nnma.rng import Rng
-from nnma.tensor import FlatParams, ParamGroup
+from nnma.tensor import FlatParams, ParamGroup, runs
 
 
 def drawn(prefix: str, rng: Rng, d_e: int = 1, d: int = 1, d_m: int = 1,
@@ -34,7 +34,10 @@ def laid_out(prefixes: list[str], rng: Rng | None, d_e: int = 1, d: int = 1,
     flat = FlatParams(np.zeros(sum(math.prod(spec.shape) for spec in specs)),
                       [spec.shape for spec in specs])
     if rng is not None:
-        for spec, leaf in zip(specs, flat.leaves):
-            draw(spec, rng, leaf.data)
+        drawn = [(spec, leaf.data) for spec, leaf in zip(specs, flat.leaves)
+                 if spec.init != "zeros"]
+        units = rng.uniform_matrix(1, sum(out.size for _, out in drawn), 0.0, 1.0)
+        for (spec, out), run in zip(drawn, runs(units[0], [spec.shape for spec, _ in drawn])):
+            draw(spec, run, out)
     named = {spec.name: leaf for spec, leaf in zip(specs, flat.leaves)}
     return [ParamGroup(p, named) for p in prefixes]

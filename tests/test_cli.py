@@ -152,6 +152,23 @@ class TestSynth:
                      "--out", str(tmp_path / "d")]) == 2
         assert "at least 10" in capsys.readouterr().err
 
+    def test_interrupted_split_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        assert run_synth(tmp_path / "d", seed=1) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+
+        def failing(split, stream):
+            stream.write("Expansion\tpartial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_tsv", failing)
+        capsys.readouterr()
+        for out_dir in (tmp_path / "d", tmp_path / "fresh"):
+            assert run_synth(out_dir, seed=2) == 2
+            assert "disk full" in capsys.readouterr().err
+        # The earlier splits are whole, and nothing else was left behind.
+        assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == before
+        assert list((tmp_path / "fresh").iterdir()) == []
+
     def test_output_path_collision(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nnma.cli import main
-from nnma.embeddings import Vocabulary
+from nnma import rng as R
+from nnma.embeddings import EmbeddingMatrix, Vocabulary
 from nnma.model import CheckpointError, NnmaModel, ParamSpec, Prediction, parameter_table
 from nnma.rng import Rng
 from nnma.corpus import Instance, synth_generate
@@ -391,6 +392,45 @@ def test_golden_checkpoint_bytes_at_other_depths(k, size, digest):
     model.save(buf)
     assert len(buf.getvalue()) == size
     assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
+
+
+def per_row_values(table, rng):
+    """Reference init of the network rows: one ``uniform_matrix`` per
+    xavier or gates row in table order, each with its own bound."""
+    values = []
+    for spec in table[1:]:
+        rows, cols = spec.shape
+        if spec.init == "zeros":
+            values.append(np.zeros(spec.shape))
+            continue
+        fan_out = rows // 4 if spec.init == "gates" else rows
+        r = math.sqrt(6.0 / (fan_out + cols))
+        values.append(rng.uniform_matrix(rows, cols, -r, r))
+    return values
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d, d_m, d_e", [(2, 3, 4), (16, 32, 50)])
+@pytest.mark.parametrize("own_embeddings", [False, True])
+def test_create_equals_one_draw_per_row(k, d, d_m, d_e, own_embeddings):
+    # (2, 3, 4) draws a network below the lane threshold, (16, 32, 50) one
+    # above it; with ``own_embeddings`` the embedding matrix is passed in,
+    # not drawn.
+    network_words = sum(math.prod(spec.shape)
+                        for spec in list(parameter_table(d_e, d, d_m, k, 4, 9))[1:]
+                        if spec.init != "zeros")
+    assert (network_words < R._LANE_MIN_WORDS) == (d == 2)
+    vocab = Vocabulary([f"w{i}" for i in range(8)])
+    rng, twin = Rng(41 + k), Rng(41 + k)
+    embeddings = EmbeddingMatrix.random(vocab, d_e, Rng(5)) if own_embeddings else None
+    model = NnmaModel.create(vocab, LABELS, d_e=d_e, d=d, d_m=d_m, k=k, rng=rng,
+                             embeddings=embeddings)
+    if embeddings is None:
+        embeddings = EmbeddingMatrix.random(vocab, d_e, twin)
+    want = [embeddings.weights.data] + per_row_values(model.table, twin)
+    got = [p.data for p in model.parameters()]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert rng.next_u64() == twin.next_u64()
 
 
 class TestParameterTable:

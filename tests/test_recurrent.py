@@ -48,8 +48,8 @@ def lstm_step(x, h_prev, c_prev, p):
 def unrolled_direction(seq, p, reverse=False):
     """Reference direction run: one ``lstm_step`` graph per word."""
     d = p.W.rows // 4
-    h = Tensor.zeros(d, 1)
-    c = Tensor.zeros(d, 1)
+    h = Tensor(np.zeros((d, 1)))
+    c = Tensor(np.zeros((d, 1)))
     order = range(seq.cols - 1, -1, -1) if reverse else range(seq.cols)
     states = {}
     for t in order:
@@ -178,7 +178,7 @@ class TestLstmStep:
     def test_zero_parameter_fixed_point(self):
         p = zero_params(2, 3)
         x = Tensor([[0.4], [-0.7]])
-        h, c = lstm_step(x, Tensor.zeros(3, 1), Tensor.zeros(3, 1), p)
+        h, c = lstm_step(x, Tensor(np.zeros((3, 1))), Tensor(np.zeros((3, 1))), p)
         np.testing.assert_array_equal(c.data, np.zeros((3, 1)))
         np.testing.assert_array_equal(h.data, np.zeros((3, 1)))
 
@@ -227,8 +227,8 @@ class TestLstmStep:
 
     def test_hidden_state_bounded(self):
         p = random_params(3, 4, seed=5)
-        h = Tensor.zeros(4, 1)
-        c = Tensor.zeros(4, 1)
+        h = Tensor(np.zeros((4, 1)))
+        c = Tensor(np.zeros((4, 1)))
         for t in range(20):
             x = random_seq(3, 1, seed=100 + t)
             h, c = lstm_step(x, h, c, p)
@@ -237,7 +237,8 @@ class TestLstmStep:
     def test_shape_mismatch_rejected(self):
         p = zero_params(2, 3)
         with pytest.raises(ValueError):
-            lstm_step(Tensor.zeros(5, 1), Tensor.zeros(3, 1), Tensor.zeros(3, 1), p)
+            lstm_step(Tensor(np.zeros((5, 1))), Tensor(np.zeros((3, 1))),
+                      Tensor(np.zeros((3, 1))), p)
 
     def test_gradient_check_one_step(self):
         p = random_params(2, 3, seed=9)
@@ -352,7 +353,7 @@ class TestFusedAgainstReference:
     def test_shape_mismatch_rejected(self):
         p = zero_params(2, 3)
         with pytest.raises(ValueError):
-            run_direction(Tensor.zeros(5, 4), p)
+            run_direction(Tensor(np.zeros((5, 4))), p)
 
 
 class TestBiEncode:
@@ -493,7 +494,7 @@ class TestEncodePair:
 
     def test_gate_width_mismatch_rejected(self):
         p = zero_params(2, 3, "enc1")
-        x = Tensor.zeros(5, 4)
+        x = Tensor(np.zeros((5, 4)))
         with pytest.raises(ShapeError):
             encode_pair(x, x, p, p)
 
@@ -503,7 +504,7 @@ class TestEncodePair:
         rng = Rng(93)
         p1, p2 = laid_out(["enc1", "enc2"], rng, d_e=2, d=3)
         apart = drawn("enc1", rng, d_e=2, d=3), drawn("enc1", rng, d_e=2, d=3)
-        x = Tensor.zeros(2, 4)
+        x = Tensor(np.zeros((2, 4)))
         for pair in ((p2, p1), (p1, p1), apart, (zero_params(2, 3, "enc1"), p2)):
             with pytest.raises(ShapeError, match="one FlatParams layout"):
                 encode_pair(x, x, *pair)
@@ -513,6 +514,6 @@ class TestEncodePair:
     def test_hidden_size_mismatch_rejected(self):
         p1 = zero_params(2, 3, "enc1")
         p2 = zero_params(2, 4, "enc1")
-        x = Tensor.zeros(2, 4)
+        x = Tensor(np.zeros((2, 4)))
         with pytest.raises(ShapeError):
             encode_pair(x, x, p1, p2)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nnma import rng as R
-from nnma.corpus import synth_generate
-from nnma.embeddings import Vocabulary
+from nnma.embeddings import DRAW_BLOCKS, INIT_SCALE, Vocabulary
 from nnma.model import NnmaModel
 from nnma.rng import Rng
 
@@ -118,33 +117,76 @@ def test_jump_matrices_are_packed_and_read_only():
     assert not m.flags.writeable
 
 
+def matrix_draws(monkeypatch) -> list[tuple]:
+    """Records the rows, cols, lo and hi of every ``uniform_matrix`` call
+    from here on."""
+    calls = []
+    uniform_matrix = Rng.uniform_matrix
+
+    def counted(self, rows, cols, lo, hi, out=None):
+        calls.append((rows, cols, lo, hi))
+        return uniform_matrix(self, rows, cols, lo, hi, out=out)
+
+    monkeypatch.setattr(Rng, "uniform_matrix", counted)
+    return calls
+
+
 def test_paper_shape_weights_after_the_embedding_draw_take_lanes(monkeypatch):
-    # Each LSTM direction's stacked gate weights (4d x (d_e + d), 20k
-    # words), then each side's w_a (10k) and w_b (20k) per level, follow
-    # the embedding matrix, whose draw builds the jumps.
-    R._jump.cache_clear()
-    calls = lane_draws(monkeypatch)
+    # The embedding matrix (50 x 20001) is drawn in DRAW_BLOCKS blocks of
+    # columns; then every xavier and gates row of the network, 361,600
+    # words at d 50, d_m 200, k 2 and 4 labels, comes from one unit draw. All five
+    # take lanes.
+    lanes = lane_draws(monkeypatch)
+    draws = matrix_draws(monkeypatch)
     vocab = Vocabulary([f"w{i}" for i in range(20000)])
-    NnmaModel.create(vocab, ["A", "B"], d_e=50, d=50, d_m=200, k=2, rng=Rng(3))
-    w_a, wide = 10000 // R._LANE_STRIDE, 20000 // R._LANE_STRIDE
-    after_embedding = calls[calls.index(wide):]
-    encoder, attention = after_embedding[:4], after_embedding[4:]
-    assert encoder == [wide] * 4
-    assert [c for c in attention if c in (w_a, wide)] == [w_a, wide] * 4
+    model = NnmaModel.create(vocab, ["A", "B", "C", "D"], d_e=50, d=50, d_m=200, k=2,
+                             rng=Rng(3))
+    network = sum(p.data.size for spec, p in zip(model.table, model.parameters())
+                  if spec.init in ("xavier", "gates"))
+    assert network == 361_600
+    step = -(-len(vocab) // DRAW_BLOCKS)
+    blocks = [(min(step, len(vocab) - start), 50, -INIT_SCALE, INIT_SCALE)
+              for start in range(0, len(vocab), step)]
+    assert len(blocks) == DRAW_BLOCKS
+    assert draws == blocks + [(1, network, 0.0, 1.0)]
+    assert lanes == [rows * cols // R._LANE_STRIDE for rows, cols, _, _ in draws]
 
 
 def test_only_lane_draws_build_jump_matrices():
-    # The overfit shape (d 16, d_m 32, d_e 50, V 33) draws nothing that
-    # reaches the lanes, so it builds no jump matrix; the first lane draw
-    # builds them.
     R._jump.cache_clear()
-    data = synth_generate(3, 8)
-    NnmaModel.create(Vocabulary.from_instances(data.instances), data.label_inventory(),
-                     d_e=50, d=16, d_m=32, k=2, rng=Rng(3))
     Rng(1).uniform_matrix(1, LANE_MIN - 1, 0.0, 1.0)
     assert R._jump.cache_info().currsize == 0
     Rng(1).uniform_matrix(1, LANE_MIN, 0.0, 1.0)
     assert R._jump.cache_info().currsize > 0
+
+
+def stepped(state, steps):
+    rng = Rng(0)
+    rng._s[:] = [int(w) for w in state]
+    for _ in range(steps):
+        rng.next_u64()
+    return rng._s
+
+
+def test_advance_over_several_row_blocks():
+    # 2 full blocks of _ADVANCE_ROWS states and a partial third.
+    states = np.array([Rng(seed)._s for seed in range(2 * R._ADVANCE_ROWS + 37)],
+                      dtype=np.uint64)
+    moved = R._advance(states, R._jump(3))
+    assert moved.shape == states.shape and moved.dtype == np.uint64
+    assert [[int(w) for w in row] for row in moved] == [stepped(s, 8) for s in states]
+
+
+def test_advance_parity_of_a_full_sum():
+    # Every product of an all-ones state and an all-ones matrix sums 256
+    # ones: even, so every bit of the result is 0. A float32 256 cast
+    # straight to uint8 would be out of range. With one row of the matrix
+    # cleared every sum is 255, odd, and every bit is 1.
+    ones = np.full((3, 4), 2**64 - 1, dtype=np.uint64)
+    matrix = np.full((256, 4), 2**64 - 1, dtype=np.uint64)
+    assert not R._advance(ones, matrix).any()
+    matrix[0] = 0
+    assert (R._advance(ones, matrix) == ones).all()
 
 
 def test_lane_starts_are_a_stride_apart():
