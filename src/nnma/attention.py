@@ -23,7 +23,12 @@ of ``tensor.segments``: an encoding holds every instance's words side
 by side (``lengths1``/``lengths2`` give each instance's word count),
 each representation and memory is a B-column matrix with one column per
 instance, and each attention distribution is one column holding every
-instance's distribution as a run of rows. One instance is B = 1.
+instance's distribution as a run of rows. One instance is B = 1. The
+forward pass has no loop over instances: every read's softmax is one
+over a (B, L_max) score matrix padded with -inf, and its read-outs, like
+the pass-0 means, are one product with an N x B block-diagonal matrix
+(N the batch's word count). The backward pass still loops over the
+instances of each read; training runs it at B = 1.
 
 All K passes are one recorded operation (``run_stack``) with a
 hand-written backward pass, as ``recurrent.encode_pair`` is for the
@@ -112,19 +117,42 @@ def _check_shapes(two_d: int, d_m: int, params: Sequence[ParamGroup]) -> None:
                                  f"encodings and a {d_m}-row memory")
 
 
-def _read(H: np.ndarray, bounds: list[tuple[int, int]], sizes: list[int],
-          M: np.ndarray, q: ParamGroup):
+def _layout(sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One argument's batch in the whole-batch layouts: ``valid``, the
+    (B, L_max) mask of the entries of each instance's row of scores that
+    hold a word (row b's first L_b); ``owner``, the N x B indicator whose
+    column b is 1 on instance b's words; and the pass-0 weights, ``owner``
+    with column b divided by L_b. A block-diagonal read-out matrix is
+    ``owner`` times a column of every word's weight."""
+    lengths = np.array(sizes)
+    valid = np.arange(max(sizes)) < lengths[:, None]
+    owner = np.eye(len(sizes)).repeat(lengths, axis=0)
+    return valid, owner, owner / lengths
+
+
+def _read(H: np.ndarray, layout: tuple[np.ndarray, np.ndarray, np.ndarray],
+          sizes: list[int], M: np.ndarray, q: ParamGroup):
     """One argument's pass: o = tanh(W_a H + (W_b M repeated across each
     instance's columns)), each instance's softmax of its scores W_s o,
-    and its read-out H a. Returns (o, a, R)."""
+    and its read-out H a. Returns (o, a, R).
+
+    The softmax is one row per instance of a (B, L_max) matrix padded
+    with -inf, whose every row is shifted by its maximum and divided by
+    its sum, so the padding gets weight 0. The read-outs are one product
+    H D, with instance b's weights in rows of column b of the N x B
+    block-diagonal D and zeros elsewhere. At B = 1 both hold exactly the
+    one instance's row and column, and round as separate per-instance
+    operations do. At B > 1 a row's sum also adds its padding's zeros
+    and H D the other blocks' zero products; the zeros change no value
+    but do change how numpy and BLAS group the sums, so an instance's
+    values can differ from its lone pass in the last bits."""
+    valid, owner, _ = layout
     o = np.tanh(q.w_a.data @ H + np.repeat(q.w_b.data @ M, sizes, axis=1))
-    row = (q.w_s.data @ o)[0]
-    parts = []
-    for s, t in bounds:
-        e = np.exp(row[s:t] - row[s:t].max())
-        parts.append(e / e.sum())
-    a = _join(parts, 0).reshape(-1, 1)
-    return o, a, _join([H[:, s:t] @ a[s:t] for s, t in bounds], 1)
+    scores = np.full(valid.shape, -np.inf)
+    scores[valid] = (q.w_s.data @ o)[0]
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    a = (e / e.sum(axis=1, keepdims=True))[valid].reshape(-1, 1)
+    return o, a, H @ (owner * a)
 
 
 def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
@@ -135,14 +163,17 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     ``h1`` and ``h2`` hold every instance's word encodings side by side,
     ``lengths1[b]`` and ``lengths2[b]`` columns for instance b (None: one
     instance). Pass 0 is each instance's column mean, computed as the
-    product with (1/L, ..., 1/L), so that a uniform distribution (all
-    W_s zero) re-reads it bit for bit. Level 1 builds its memory from
+    read-outs are, one product with the block-diagonal matrix holding
+    (1/L, ..., 1/L) for each instance, so that a uniform distribution
+    (all W_s zero) re-reads it bit for bit. Level 1 builds its memory from
     the pass-0 means, M_1 = tanh(W_m [R0_1; R0_2; R0_1 - R0_2]); each
     later level from the previous level's representations and memory,
     M_k = tanh(W_m [R1; R2; R1 - R2; M_{k-1}]). No bias terms. Every
     instance reads only its own segment, so its distributions and
     representations are those it would get alone, up to the rounding of
-    the products the batch shares (W_a h, W_b M). W_b M is one column
+    the products the batch shares (W_a h, W_b M) and of the whole-batch
+    softmax sums, read-outs and means (``_read``); at B = 1 these are the
+    one instance's own operations. W_b M is one column
     per instance, repeated across its words; that rounds differently
     from multiplying W_b by the memory repeated per word, which computes
     the same function.
@@ -172,10 +203,9 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     tensors = [t for p in params for t in p.tensors()]
     record = recording((h1, h2, *tensors))
     H = (h1.data, h2.data)
-    bounds = (spans(sizes[0]), spans(sizes[1]))
+    layouts = (_layout(sizes[0]), _layout(sizes[1]))
 
-    R = [_join([X[:, s:t] @ np.full((t - s, 1), 1.0 / (t - s)) for s, t in b], 1)
-         for X, b in zip(H, bounds)]
+    R = [X @ uniform for X, (_, _, uniform) in zip(H, layouts)]
     general = GeneralRepr(_value(R[0]), _value(R[1]))
     levels: list[LevelOutput] = []
     saved = []  # per level: memory input, memory, each side's (o, a)
@@ -183,7 +213,8 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     for p in params:
         S = np.concatenate([R[0], R[1], R[0] - R[1]] + ([] if M is None else [M]))
         M = np.tanh(p.w_m.data @ S)
-        reads = [_read(X, b, z, M, q) for X, b, z, q in zip(H, bounds, sizes, (p.arg1, p.arg2))]
+        reads = [_read(X, lay, z, M, q)
+                 for X, lay, z, q in zip(H, layouts, sizes, (p.arg1, p.arg2))]
         (_, a1, r1), (_, a2, r2) = reads
         levels.append(LevelOutput(_value(M), _value(a1), _value(a2), _value(r1), _value(r2)))
         if record:
@@ -199,6 +230,7 @@ def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
     # (the classifier's at the top), then the difference R1 - R2's.
     def vjp(g: np.ndarray):
         claimed = claim_runs(tensors)
+        bounds = (spans(sizes[0]), spans(sizes[1]))
 
         def product(a: np.ndarray, b: np.ndarray, weight: Tensor) -> np.ndarray:
             return np.matmul(a, b, out=weight._grad_view if claimed else None)

@@ -184,11 +184,17 @@ def load_split(data_dir: Path, name: str) -> Dataset:
 def write_atomic(path: Path, write: Callable[[Path], object]) -> None:
     """Call ``write`` on a temporary file next to ``path``, then rename
     it into place: a failed or interrupted write leaves any previous
-    ``path`` whole and no temporary file behind."""
+    ``path`` whole and no temporary file behind. An ``OSError`` on the
+    temporary file is raised as one on ``path``, the file asked for."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp)
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        if exc.errno is None or str(tmp) not in (str(exc.filename), str(exc.filename2)):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -203,6 +209,9 @@ def cmd_train(args) -> int:
     train = apply_task(train_raw, config.task)
     dev = apply_task(dev_raw, config.task, require_target=False)
     labels = train.label_inventory()
+    if len(labels) < 2:
+        raise CorpusError(f"{config.data_dir / 'train.tsv'}: task {config.task.describe()} "
+                          f"needs two or more labels in the train split, found {labels}")
     weights = reweight(train, config.task)
 
     hp = config.hp

@@ -14,8 +14,9 @@ There is one forward pass, over a batch of B instances in the segment
 layout of ``tensor.segments``; training runs it with B = 1, one
 instance per step. Forward-only work (evaluation, attention analysis)
 runs it over length-sorted chunks of at most ``CHUNK`` instances with
-no graph recorded (``forward_chunks``): fewer, larger matrix products
-than one instance at a time, at the same values up to rounding.
+no graph recorded (``forward_chunks``): fewer, larger operations than
+one instance at a time (each attention read is a few whole-chunk
+operations, ``attention._read``), at the same values up to rounding.
 
 Checkpoint layout (little-endian throughout):
 
@@ -69,7 +70,15 @@ from .tensor import (FlatParams, ParamGroup, ShapeError, Tensor, _make, claim_ru
 
 MAGIC = b"NNMA"
 FORMAT_VERSION = 1
-CHUNK = 16  # most instances in one forward-only batch
+# Most instances in one forward-only batch. Per-instance ``evaluate`` time
+# over 192 synthetic instances (one BLAS thread, 2-core Xeon, numpy 2.4),
+# median of interleaved passes, in microseconds at CHUNK 16 / 20 / 24 / 28 /
+# 32 / 48: overfit shape (d 16, d_m 32, L 10-16) 113 / 109 / 103 / 102 /
+# 103 / 111; paper shape (d 50, d_m 200, L 26-34) 624 / 642 / 626 / 646 /
+# 680 / 720. Past 24 the larger LSTM batch with its length skew and the
+# read-outs' block-diagonal products (quadratic in the chunk size) cost
+# more at the paper shape than the per-chunk Python they save.
+CHUNK = 24
 
 
 class CheckpointError(ValueError):

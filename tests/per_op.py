@@ -8,6 +8,13 @@ backward passes (``nnma.attention.run_stack``, ``nnma.model.classify``);
 this module keeps the old graph as the oracle those operations must
 match bit for bit, in every value and every gradient.
 
+Its segment primitives (``mean_cols``, ``segment_matvec``,
+``segment_softmax``) compute the whole batch at once as the stack does:
+one product with a block-diagonal matrix, one softmax over rows padded
+with -inf. The ``*_looped`` forms compute each segment on its own, as an
+instance alone does; at one segment both are the same bits, and at more
+they agree up to the grouping of sums (``attend_looped``).
+
 It also keeps the column lookup with a dense backward
 (``select_columns``) and the momentum step as three whole-array passes
 (``MomentumSgd``): together the oracle for a lookup gradient kept as a
@@ -134,17 +141,17 @@ def _join(parts: list[np.ndarray], axis: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def mean_cols(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
-    """Arithmetic mean of each segment's columns, one column per segment.
+def _owner(sizes: Sequence[int]) -> np.ndarray:
+    """The N x B indicator of which segment each of N positions is in."""
+    out = np.zeros((sum(sizes), len(sizes)))
+    for j, (s, t) in enumerate(spans(sizes)):
+        out[s:t, j] = 1.0
+    return out
 
-    Computed as ``m_s @ (1/L, ..., 1/L)^T`` per segment, the product
-    ``segment_matvec`` forms, so that a uniform attention read-out over
-    the same segments reproduces it bitwise.
-    """
-    if m.cols == 0:
-        raise ShapeError("mean_cols over zero columns")
-    bounds = spans(segments(m.cols, lengths))
-    out = _join([m.data[:, s:t] @ np.full((t - s, 1), 1.0 / (t - s)) for s, t in bounds], 1)
+
+def _mean_node(m: Tensor, sizes: list[int], out: np.ndarray) -> Tensor:
+    """``out``, the means of ``m``'s segments, with their backward pass."""
+    bounds = spans(sizes)
 
     def vjp(g: np.ndarray):
         return (_join([np.repeat(g[:, j:j + 1] * (1.0 / (t - s)), t - s, axis=1)
@@ -153,15 +160,32 @@ def mean_cols(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
     return _make(out, (m,), vjp)
 
 
-def segment_matvec(m: Tensor, w: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
-    """For each segment, its columns of ``m`` times its rows of the column
-    ``w``, one output column per segment: with attention weights in
-    ``w``, every instance's read-out ``h a``. Each segment is its own
-    matrix-vector product, as it would be for that instance alone."""
-    if w.cols != 1 or w.rows != m.cols:
-        raise ShapeError(f"segment_matvec needs a {m.cols} x 1 weight column, got {w.shape}")
-    bounds = spans(segments(m.cols, lengths))
-    out = _join([m.data[:, s:t] @ w.data[s:t] for s, t in bounds], 1)
+def mean_cols(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Arithmetic mean of each segment's columns, one column per segment.
+
+    Computed as the one product of ``m`` with the block-diagonal matrix
+    holding (1/L, ..., 1/L) in each segment's rows of its column, the
+    product ``segment_matvec`` forms, so that a uniform attention
+    read-out over the same segments reproduces it bitwise.
+    """
+    if m.cols == 0:
+        raise ShapeError("mean_cols over zero columns")
+    sizes = segments(m.cols, lengths)
+    return _mean_node(m, sizes, m.data @ (_owner(sizes) / np.array(sizes)))
+
+
+def mean_cols_looped(m: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """``mean_cols`` with each segment's mean its own product,
+    ``m_s @ (1/L, ..., 1/L)^T``, as an instance alone computes it."""
+    sizes = segments(m.cols, lengths)
+    return _mean_node(m, sizes, _join([m.data[:, s:t] @ np.full((t - s, 1), 1.0 / (t - s))
+                                       for s, t in spans(sizes)], 1))
+
+
+def _matvec_node(m: Tensor, w: Tensor, sizes: list[int], out: np.ndarray) -> Tensor:
+    """``out``, each segment's columns of ``m`` times its rows of ``w``,
+    with their backward pass."""
+    bounds = spans(sizes)
 
     def vjp(g: np.ndarray):
         cols = [g[:, j:j + 1] for j in range(len(bounds))]
@@ -170,6 +194,27 @@ def segment_matvec(m: Tensor, w: Tensor, lengths: Sequence[int] | None = None) -
         return dm, dw
 
     return _make(out, (m, w), vjp)
+
+
+def segment_matvec(m: Tensor, w: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """For each segment, its columns of ``m`` times its rows of the column
+    ``w``, one output column per segment: with attention weights in
+    ``w``, every instance's read-out ``h a``. All segments are one
+    product, ``m`` times the block-diagonal matrix whose column j holds
+    segment j's rows of ``w`` and zeros elsewhere."""
+    if w.cols != 1 or w.rows != m.cols:
+        raise ShapeError(f"segment_matvec needs a {m.cols} x 1 weight column, got {w.shape}")
+    sizes = segments(m.cols, lengths)
+    return _matvec_node(m, w, sizes, m.data @ (_owner(sizes) * w.data))
+
+
+def segment_matvec_looped(m: Tensor, w: Tensor,
+                          lengths: Sequence[int] | None = None) -> Tensor:
+    """``segment_matvec`` with each segment its own matrix-vector
+    product, as it would be for that instance alone."""
+    sizes = segments(m.cols, lengths)
+    return _matvec_node(m, w, sizes, _join([m.data[:, s:t] @ w.data[s:t]
+                                            for s, t in spans(sizes)], 1))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -186,19 +231,10 @@ def softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), vjp)
 
 
-def segment_softmax(scores: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
-    """Softmax within each segment of a 1 x N score row, returned as an
-    N x 1 column: every instance's scores become its own distribution.
-    A segment is stabilized by its own maximum and normalized by its own
-    sum, so no other instance's positions enter it."""
-    if scores.rows != 1:
-        raise ShapeError(f"segment_softmax expects a score row, got {scores.shape}")
-    bounds = spans(segments(scores.cols, lengths))
-    row = scores.data[0]
-    parts = []
-    for s, t in bounds:
-        e = np.exp(row[s:t] - row[s:t].max())
-        parts.append(e / e.sum())
+def _softmax_node(scores: Tensor, sizes: list[int], parts: list[np.ndarray]) -> Tensor:
+    """The segments' distributions ``parts`` as one column, with their
+    backward pass."""
+    bounds = spans(sizes)
     out = _join(parts, 0).reshape(-1, 1)
 
     def vjp(g: np.ndarray):
@@ -206,6 +242,36 @@ def segment_softmax(scores: Tensor, lengths: Sequence[int] | None = None) -> Ten
                       0).reshape(1, -1),)
 
     return _make(out, (scores,), vjp)
+
+
+def segment_softmax(scores: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Softmax within each segment of a 1 x N score row, returned as an
+    N x 1 column: every instance's scores become its own distribution.
+    The segments are the rows of one matrix, each padded with -inf to
+    the longest; a row is stabilized by its own maximum and normalized
+    by its own sum, so no other instance's positions enter it."""
+    if scores.rows != 1:
+        raise ShapeError(f"segment_softmax expects a score row, got {scores.shape}")
+    sizes = segments(scores.cols, lengths)
+    bounds = spans(sizes)
+    padded = np.full((len(sizes), max(sizes)), -np.inf)
+    for j, (s, t) in enumerate(bounds):
+        padded[j, :t - s] = scores.data[0, s:t]
+    e = np.exp(padded - padded.max(axis=1, keepdims=True))
+    dist = e / e.sum(axis=1, keepdims=True)
+    return _softmax_node(scores, sizes, [dist[j, :t - s] for j, (s, t) in enumerate(bounds)])
+
+
+def segment_softmax_looped(scores: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """``segment_softmax`` with each segment its own 1-d softmax, as an
+    instance alone computes it."""
+    sizes = segments(scores.cols, lengths)
+    row = scores.data[0]
+    parts = []
+    for s, t in spans(sizes):
+        e = np.exp(row[s:t] - row[s:t].max())
+        parts.append(e / e.sum())
+    return _softmax_node(scores, sizes, parts)
 
 
 def broadcast_repeat(v: Tensor, counts: int | Sequence[int]) -> Tensor:
@@ -279,10 +345,10 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def general_repr(h1: Tensor, h2: Tensor, lengths1: Sequence[int] | None = None,
-                 lengths2: Sequence[int] | None = None) -> GeneralRepr:
+                 lengths2: Sequence[int] | None = None, mean=mean_cols) -> GeneralRepr:
     """Pass-0 representations: each instance's column mean of its
-    encoder output."""
-    return GeneralRepr(mean_cols(h1, lengths1), mean_cols(h2, lengths2))
+    encoder output, by ``mean`` (``mean_cols`` or ``mean_cols_looped``)."""
+    return GeneralRepr(mean(h1, lengths1), mean(h2, lengths2))
 
 
 def memory_first(g: GeneralRepr, p: ParamGroup) -> Tensor:
@@ -321,17 +387,31 @@ def attend_repeated(h: Tensor, M: Tensor, p: ParamGroup,
     return a, segment_matvec(h, a, sizes)
 
 
+def attend_looped(h: Tensor, M: Tensor, p: ParamGroup,
+                  lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+    """``attend`` with every instance's softmax and read-out its own
+    operations (``segment_softmax_looped``, ``segment_matvec_looped``),
+    as each instance alone computes them. Kept as the reference the
+    whole-batch forms must stay close to."""
+    sizes = segments(h.cols, lengths)
+    o = tanh(add(matmul(p.w_a, h), broadcast_repeat(matmul(p.w_b, M), sizes)))
+    a = segment_softmax_looped(matmul(p.w_s, o), sizes)
+    return a, segment_matvec_looped(h, a, sizes)
+
+
 def run_stack(h1: Tensor, h2: Tensor, params: list[ParamGroup],
               lengths1: Sequence[int] | None = None,
-              lengths2: Sequence[int] | None = None, read=attend) -> AttentionTrace:
+              lengths2: Sequence[int] | None = None, read=attend,
+              mean=mean_cols) -> AttentionTrace:
     """All K passes, one recorded node per product, each argument's pass
-    by ``read`` (``attend`` or ``attend_repeated``). ``final`` is a
-    ``concat`` of the last level's R1 and R2 that the reference head
-    does not read."""
+    by ``read`` (``attend``, ``attend_repeated`` or ``attend_looped``)
+    and its pass-0 mean by ``mean`` (``mean_cols`` or
+    ``mean_cols_looped``). ``final`` is a ``concat`` of the last level's
+    R1 and R2 that the reference head does not read."""
     if len(params) == 0:
         raise ValueError("attention stack needs at least one level")
     lengths1, lengths2 = segments(h1.cols, lengths1), segments(h2.cols, lengths2)
-    g = general_repr(h1, h2, lengths1, lengths2)
+    g = general_repr(h1, h2, lengths1, lengths2, mean)
     levels: list[LevelOutput] = []
     for k, p in enumerate(params, start=1):
         if k == 1:

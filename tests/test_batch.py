@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nnma import metrics as metrics_module
 from nnma import model as model_module
+from nnma.attention import run_stack
 from nnma.cli import main
 from nnma.corpus import Dataset, Instance, write_tsv
 from nnma.embeddings import Vocabulary
@@ -224,6 +225,31 @@ def test_evaluate_records_one_stack_op_per_chunk(stack_ops):
 def test_kl_report_records_one_encoder_op_per_chunk(encoder_ops):
     attention_kl_report(make_model(2, seed=9), large_dataset())
     assert len(encoder_ops) == math.ceil(N / CHUNK)
+
+
+def test_forward_only_stack_makes_one_softmax_per_read(monkeypatch):
+    # The forward pass runs each attention read's softmax over the whole
+    # batch at once: as many np.exp calls for 2 * CHUNK instances as for
+    # one, so a per-instance loop cannot come back unnoticed.
+    model = make_model(3, seed=11)
+    rng = np.random.default_rng(11)
+    calls = []
+    real = np.exp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    counts = []
+    for batch in (1, 2 * CHUNK):
+        lengths1, lengths2 = (rng.integers(1, 12, batch).tolist() for _ in range(2))
+        h1, h2 = (Tensor(rng.uniform(-1, 1, (6, sum(n)))) for n in (lengths1, lengths2))
+        calls.clear()
+        with no_grad():
+            run_stack(h1, h2, model.levels, lengths1, lengths2)
+        counts.append(len(calls))
+    assert counts == [2 * 3, 2 * 3]
 
 
 @pytest.mark.parametrize("n", [1, CHUNK, N])

@@ -38,7 +38,7 @@ from nnma.cli import (
 import nnma
 from nnma import attention, cli, recurrent
 from nnma import model as model_module
-from nnma.corpus import parse_tsv
+from nnma.corpus import Dataset, parse_tsv, write_tsv
 from nnma.model import NnmaModel
 from nnma.tensor import Tensor
 from per_op import add
@@ -355,6 +355,21 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "train.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", ["four", "binary:Comparison"])
+    def test_single_label_train_split_exits_2(self, tmp_path, capsys, task):
+        assert run_synth(tmp_path / "data") == 0
+        path = tmp_path / "data" / "train.tsv"
+        with open(path, encoding="utf-8") as fh:
+            kept = [inst for inst in parse_tsv(fh).instances if inst.label == "Comparison"]
+        with open(path, "w", encoding="utf-8") as fh:
+            write_tsv(Dataset(kept), fh)
+        cfg = write_config(tmp_path / "c.cfg", task=task)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "train.tsv" in err and "found ['Comparison']" in err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
     def test_binary_task_training(self, tmp_path, capsys):
         assert run_synth(tmp_path / "data") == 0
         cfg = write_config(tmp_path / "c.cfg", task="binary:Comparison",
@@ -408,6 +423,14 @@ class TestEval:
         assert main(["eval", "--model", str(model), "--data", str(data),
                      "--task", "four", "--out", str(target)]) == 0
         assert target.read_text() == capsys.readouterr().out
+
+    def test_unwritable_out_names_the_requested_path(self, workspace, tmp_path, capsys):
+        model = workspace / "out" / "model.ckpt"
+        data = workspace / "data" / "test.tsv"
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--task", "four", "--out", str(tmp_path / "nodir" / "x.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "x.txt" in err and ".tmp" not in err
 
     def test_missing_model_exits_2(self, workspace, tmp_path, capsys):
         assert main(["eval", "--model", str(tmp_path / "no.ckpt"),

@@ -3,7 +3,9 @@ against the per-product graph they replaced (``per_op``): every value
 and every gradient byte for byte, one instance or a batch. The stack's
 W_b M, computed once per instance, is also held close to the graph that
 multiplies W_b by the memory repeated across every word
-(``per_op.attend_repeated``)."""
+(``per_op.attend_repeated``), and its whole-batch softmax, read-outs and
+pass-0 means close to the graph that computes each instance's on its
+own (``per_op.attend_looped``, ``per_op.mean_cols_looped``)."""
 
 from functools import partial
 
@@ -98,15 +100,24 @@ def test_stack_and_head_are_the_per_op_graph_bytewise(lengths, K, seed, zero_sco
     assert_same_bytes(got[1], want[1])
 
 
-def assert_near_repeated_memory_graph(K, lengths1, lengths2, seed):
+REPEATED = partial(per_op.run_stack, read=per_op.attend_repeated)
+LOOPED = partial(per_op.run_stack, read=per_op.attend_looped, mean=per_op.mean_cols_looped)
+
+
+def assert_near(reference, K, lengths1, lengths2, seed, scaled=False):
     # W_b M once per instance rounds differently from W_b times the
-    # memory repeated per word; both compute the same function.
+    # memory repeated per word, and a whole-batch sum groups its terms
+    # differently from one segment's; each pair computes the same function.
+    # ``scaled``: values within 1e-12 of each tensor's largest entry, not
+    # of each entry. A regrouped sum that cancels to a tiny read-out
+    # entry keeps the rounding of its large terms (e.g. 2.0e-7 off by
+    # 1.7e-16, 8e-10 relative), so only that bound is met there.
     case = setup(K, lengths1, lengths2, seed)
     got = run(run_stack, fused_head, case, lengths1, lengths2)
-    want = run(partial(per_op.run_stack, read=per_op.attend_repeated), per_op.classify,
-               case, lengths1, lengths2)
+    want = run(reference, per_op.classify, case, lengths1, lengths2)
     for g, w in zip(got[0], want[0]):
-        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(g, w, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(w)) if scaled else 0)
     assert len(got[1]) == len(want[1])
     for g, w in zip(got[1], want[1]):
         assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
@@ -115,13 +126,31 @@ def assert_near_repeated_memory_graph(K, lengths1, lengths2, seed):
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("n1, n2", [(1, 40), (40, 1), (1, 1), (7, 12)])
 def test_one_instance_is_near_the_repeated_memory_graph(K, n1, n2):
-    assert_near_repeated_memory_graph(K, [n1], [n2], seed=K * 100 + n1 + n2)
+    assert_near(REPEATED, K, [n1], [n2], seed=K * 100 + n1 + n2)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(lengths=batches(), K=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 16))
 def test_a_batch_is_near_the_repeated_memory_graph(lengths, K, seed):
-    assert_near_repeated_memory_graph(K, *lengths, seed)
+    assert_near(REPEATED, K, *lengths, seed)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("n1, n2", [(1, 40), (40, 1), (7, 12)])
+def test_one_instance_is_the_per_instance_graph_bytewise(K, n1, n2):
+    # At B = 1 the padded score matrix and the block-diagonal read-out
+    # and mean matrices hold just the one instance's row and column.
+    case = setup(K, [n1], [n2], seed=K * 100 + n1 + n2)
+    got = run(run_stack, fused_head, case, [n1], [n2])
+    want = run(LOOPED, per_op.classify, case, [n1], [n2])
+    assert_same_bytes(got[0], want[0])
+    assert_same_bytes(got[1], want[1])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lengths=batches(), K=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 16))
+def test_a_batch_is_near_the_per_instance_graph(lengths, K, seed):
+    assert_near(LOOPED, K, *lengths, seed, scaled=True)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])

@@ -20,7 +20,7 @@ from nnma.metrics import (
     macro_f1,
     render_kl_report,
 )
-from nnma.model import NnmaModel
+from nnma.model import CHUNK, NnmaModel
 from nnma.rng import Rng
 from nnma.tensor import Tensor, no_grad, spans
 from nnma.trainer import MomentumSgd, train_step
@@ -325,9 +325,12 @@ class TestChunkedKlReport:
     LENGTHS = [1, 7, 8, 9, 17, 40]  # both sides of numpy's 8-wide pairwise unroll
 
     def instances(self):
+        # Every length pair, repeated until the list spans more than two
+        # chunks of CHUNK.
         rng = np.random.default_rng(31)
         words = [f"t{i}" for i in range(7)]
         pairs = [(n1, n2) for n1 in self.LENGTHS for n2 in self.LENGTHS]
+        pairs *= math.ceil((2 * CHUNK + 1) / len(pairs))
         rng.shuffle(pairs)
         return [Instance(LABELS[0], list(rng.choice(words, n1)), list(rng.choice(words, n2)))
                 for n1, n2 in pairs]

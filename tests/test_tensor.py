@@ -279,19 +279,20 @@ SEGMENTS = [1, 4, 2, 7]
 def test_segment_softmax_is_each_segment_alone_bitwise():
     rng = np.random.default_rng(22)
     row = rand(1, sum(SEGMENTS), rng, -4, 4)
-    out = ops.segment_softmax(row, SEGMENTS)
+    out = ops.segment_softmax_looped(row, SEGMENTS)
     assert out.shape == (sum(SEGMENTS), 1)
     for s, t in T.spans(SEGMENTS):
         alone = ops.softmax(Tensor(row.data[0, s:t].copy())).data
         assert out.data[s:t].tobytes() == alone.tobytes()
-    assert ops.segment_softmax(row).data.tobytes() == ops.softmax(
-        Tensor(row.data[0].copy())).data.tobytes()
+    for op in (ops.segment_softmax, ops.segment_softmax_looped):
+        assert op(row).data.tobytes() == ops.softmax(Tensor(row.data[0].copy())).data.tobytes()
 
 
 def test_segment_softmax_of_zero_scores_is_exactly_uniform():
-    out = ops.segment_softmax(Tensor(np.zeros((1, sum(SEGMENTS)))), SEGMENTS).data
-    for (s, t), n in zip(T.spans(SEGMENTS), SEGMENTS):
-        assert np.array_equal(out[s:t], np.full((n, 1), 1.0 / n))
+    for op in (ops.segment_softmax, ops.segment_softmax_looped):
+        out = op(Tensor(np.zeros((1, sum(SEGMENTS)))), SEGMENTS).data
+        for (s, t), n in zip(T.spans(SEGMENTS), SEGMENTS):
+            assert np.array_equal(out[s:t], np.full((n, 1), 1.0 / n))
 
 
 def test_segment_softmax_gradient_and_errors():
@@ -310,14 +311,15 @@ def test_segment_matvec_is_each_segment_alone_bitwise_with_gradients():
     rng = np.random.default_rng(24)
     m = rand(3, sum(SEGMENTS), rng)
     w = rand(sum(SEGMENTS), 1, rng)
-    out = ops.segment_matvec(m, w, SEGMENTS)
+    out = ops.segment_matvec_looped(m, w, SEGMENTS)
     assert out.shape == (3, len(SEGMENTS))
     for j, (s, t) in enumerate(T.spans(SEGMENTS)):
         assert out.data[:, j:j + 1].tobytes() == (m.data[:, s:t] @ w.data[s:t]).tobytes()
     probe = Tensor(rng.uniform(-1, 1, (3, len(SEGMENTS))))
-    f = lambda: ops.sum_all(ops.hadamard(ops.segment_matvec(m, w, SEGMENTS), probe))
-    for t in (m, w):
-        assert max_err(analytic_grad(f, t), numeric_grad(f, t)) < 1e-7
+    for op in (ops.segment_matvec, ops.segment_matvec_looped):
+        f = lambda: ops.sum_all(ops.hadamard(op(m, w, SEGMENTS), probe))
+        for t in (m, w):
+            assert max_err(analytic_grad(f, t), numeric_grad(f, t)) < 1e-7
     with pytest.raises(T.ShapeError):
         ops.segment_matvec(m, rand(3, 1, rng), SEGMENTS)
 
@@ -325,13 +327,34 @@ def test_segment_matvec_is_each_segment_alone_bitwise_with_gradients():
 def test_mean_cols_per_segment_is_each_segment_alone_bitwise():
     rng = np.random.default_rng(25)
     m = rand(3, sum(SEGMENTS), rng)
-    out = ops.mean_cols(m, SEGMENTS)
+    out = ops.mean_cols_looped(m, SEGMENTS)
     for j, (s, t) in enumerate(T.spans(SEGMENTS)):
         alone = ops.mean_cols(Tensor(m.data[:, s:t].copy())).data
         assert out.data[:, j:j + 1].tobytes() == alone.tobytes()
     probe = Tensor(rng.uniform(-1, 1, (3, len(SEGMENTS))))
-    f = lambda: ops.sum_all(ops.hadamard(ops.mean_cols(m, SEGMENTS), probe))
-    assert max_err(analytic_grad(f, m), numeric_grad(f, m)) < 1e-7
+    for op in (ops.mean_cols, ops.mean_cols_looped):
+        f = lambda: ops.sum_all(ops.hadamard(op(m, SEGMENTS), probe))
+        assert max_err(analytic_grad(f, m), numeric_grad(f, m)) < 1e-7
+
+
+@pytest.mark.parametrize("sizes", [[12], [1, 9, 17, 40, 3], SEGMENTS])
+def test_whole_batch_segment_ops_are_near_the_looped_forms(sizes):
+    # One product with a block-diagonal matrix and one softmax over rows
+    # padded with -inf group their sums differently from one segment's
+    # own operations once there are several segments: values within
+    # 1e-12 of the largest, and at one segment the same bits.
+    rng = np.random.default_rng(26)
+    m = rand(5, sum(sizes), rng)
+    w = rand(sum(sizes), 1, rng, 0, 1)
+    row = rand(1, sum(sizes), rng, -4, 4)
+    pairs = [(ops.mean_cols(m, sizes), ops.mean_cols_looped(m, sizes)),
+             (ops.segment_matvec(m, w, sizes), ops.segment_matvec_looped(m, w, sizes)),
+             (ops.segment_softmax(row, sizes), ops.segment_softmax_looped(row, sizes))]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if len(sizes) == 1:
+            assert got.data.tobytes() == want.data.tobytes()
+        assert np.max(np.abs(got.data - want.data)) <= 1e-12 * np.max(np.abs(want.data))
 
 
 def test_broadcast_repeat_per_column_counts():
